@@ -16,9 +16,11 @@
 //
 // Usage: bench_serve_throughput [examples_per_class] [seconds_per_level]
 //                               [out.json]
-//   defaults: 100 examples/class, 0.3 s/level, no JSON file
+//   defaults: 100 examples/class, 0.3 s/level, no JSON file; a count or
+//   duration that is not a positive number is a usage error (exit 2)
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -132,13 +134,30 @@ LevelResult run_level(const std::shared_ptr<const serve::ServableModel>& model,
     return r;
 }
 
+/// `text` as a positive number, or 0 when it is not one.
+double positive_arg(const char* text) {
+    char* end = nullptr;
+    const double v = std::strtod(text, &end);
+    return end != text && *end == '\0' && v > 0.0 ? v : 0.0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-    const std::size_t examples_per_class =
-        argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 100;
-    const double seconds_per_level =
-        argc > 2 ? std::strtod(argv[2], nullptr) : 0.3;
+    const double count = argc > 1 ? positive_arg(argv[1]) : 100.0;
+    const double seconds_per_level = argc > 2 ? positive_arg(argv[2]) : 0.3;
+    if (argc > 4 || count < 1.0 || count > 1e6 || count != std::floor(count) ||
+        seconds_per_level <= 0.0 || seconds_per_level > 3600.0) {
+        std::fprintf(stderr,
+                     "usage: bench_serve_throughput [examples_per_class] "
+                     "[seconds_per_level] [out.json]\n"
+                     "  examples_per_class: a whole number in 1..1000000 "
+                     "(default 100)\n"
+                     "  seconds_per_level: a number in (0, 3600] "
+                     "(default 0.3)\n");
+        return 2;
+    }
+    const auto examples_per_class = std::size_t(count);
     const std::string json_path = argc > 3 ? argv[3] : "";
 
     const data::Dataset ds = data::make_kws6_like(examples_per_class, 15);

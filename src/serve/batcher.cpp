@@ -39,13 +39,14 @@ std::future<Reply> Batcher::submit(std::shared_ptr<const ServableModel> model,
     req.enqueued = Clock::now();
     std::future<Reply> future = req.promise.get_future();
 
+    std::size_t depth = 0;
     {
         std::lock_guard<std::mutex> lock(mu_);
         if (stop_)
             throw ServeError(ErrorCode::kShuttingDown,
                              "server is shutting down");
-        if (queue_.size() >= options_.max_queue_depth) {
-            const std::size_t depth = queue_.size();
+        depth = queue_.size();
+        if (depth >= options_.max_queue_depth) {
             if (metrics_)
                 metrics_->record_shed(req.model->hash_hex, "queue-full", depth);
             // Backoff hint: the expected time to drain the current queue at
@@ -77,11 +78,14 @@ std::future<Reply> Batcher::submit(std::shared_ptr<const ServableModel> model,
                              retry_after_ms);
         }
         queue_.push_back(std::move(req));
+        depth = queue_.size();
         TRACE_INSTANT("enqueue", "serve");
-        TRACE_COUNTER("serve queue depth", queue_.size());
-        if (metrics_) metrics_->set_queue_depth(queue_.size());
+        TRACE_COUNTER("serve queue depth", depth);
+        if (metrics_) metrics_->set_queue_depth(depth);
     }
-    work_cv_.notify_one();
+    // The dispatcher sleeps on an empty queue, or on a partial block until
+    // the queue holds kLanes requests; only those two steps can wake it.
+    if (depth == 1 || depth == kLanes) work_cv_.notify_one();
     return future;
 }
 

@@ -1,6 +1,9 @@
 #include "serve/server.hpp"
 
+#include <algorithm>
 #include <chrono>
+#include <cmath>
+#include <deque>
 #include <exception>
 #include <istream>
 #include <ostream>
@@ -12,6 +15,130 @@
 #include "util/fsio.hpp"
 
 namespace matador::serve {
+
+namespace {
+
+/// A predict's "label" names a class of the model that scores it: an
+/// integer in [0, classes).  Anything else is a bad request - casting it
+/// would be undefined, and it would count as a wrong answer in the rolling
+/// accuracy.
+std::uint32_t class_label(const util::Json& label, std::size_t classes) {
+    const double v = label.is_number() ? label.as_double() : -1.0;
+    if (!(v >= 0.0 && v < double(classes) && v == std::floor(v)))
+        throw ServeError(ErrorCode::kBadRequest,
+                         "label must be an integer class index in [0, " +
+                             std::to_string(classes) + ")");
+    return std::uint32_t(v);
+}
+
+}  // namespace
+
+// The reply half of run().  The reading thread push()es one Pending per
+// request line; the writer thread emits them strictly in that order, each
+// as soon as it is ready, and flushes `out` whenever the next one is not,
+// so no reply waits in the stream buffer for later traffic.  At most
+// `window` replies are owed at once: push() blocks the reader beyond that.
+class Server::ReplyWriter {
+public:
+    ReplyWriter(std::ostream& out, std::size_t window)
+        : out_(out),
+          window_(std::max<std::size_t>(window, 1)),
+          thread_([this] { write_loop(); }) {}
+    ~ReplyWriter() { close(); }
+
+    ReplyWriter(const ReplyWriter&) = delete;
+    ReplyWriter& operator=(const ReplyWriter&) = delete;
+
+    /// Queue the next reply; rethrows a failure of the writer thread.
+    void push(Pending pending) {
+        std::unique_lock<std::mutex> lock(mu_);
+        room_cv_.wait(lock, [&] { return queue_.size() < window_ || error_; });
+        if (error_) std::rethrow_exception(error_);
+        queue_.push_back(std::move(pending));
+        // The writer sleeps only on an empty queue.
+        if (queue_.size() == 1) ready_cv_.notify_one();
+    }
+
+    /// Emit every queued reply, stop the writer, rethrow its failure.
+    void finish() {
+        close();
+        if (error_) std::rethrow_exception(error_);
+    }
+
+private:
+    void close() {
+        {
+            std::lock_guard<std::mutex> lock(mu_);
+            closed_ = true;
+        }
+        ready_cv_.notify_one();
+        if (thread_.joinable()) thread_.join();
+    }
+
+    void write_loop() {
+        obs::set_thread_name("serve-writer");
+        std::unique_lock<std::mutex> lock(mu_);
+        try {
+            while (!queue_.empty() || !closed_) {
+                if (queue_.empty()) {
+                    lock.unlock();
+                    out_.flush();
+                    lock.lock();
+                    ready_cv_.wait(lock,
+                                   [&] { return closed_ || !queue_.empty(); });
+                    continue;
+                }
+                // Only this thread pops, and push_back keeps references to
+                // existing elements valid, so the front needs no lock.
+                Pending& next = queue_.front();
+                lock.unlock();
+                if (next.is_future &&
+                    next.future.wait_for(std::chrono::seconds(0)) !=
+                        std::future_status::ready) {
+                    out_.flush();
+                    next.future.wait();
+                }
+                emit(next);
+                lock.lock();
+                queue_.pop_front();
+                // The reader waits only on a full window.
+                if (queue_.size() + 1 == window_) room_cv_.notify_one();
+            }
+            lock.unlock();
+            out_.flush();
+        } catch (...) {
+            if (!lock.owns_lock()) lock.lock();
+            error_ = std::current_exception();
+            room_cv_.notify_one();
+        }
+    }
+
+    void emit(Pending& pending) {
+        TRACE_SPAN("emit", "serve");
+        if (!pending.is_future) {
+            out_ << pending.immediate.dump() << '\n';
+            return;
+        }
+        const Reply reply = pending.future.get();
+        util::Json r = util::Json::object();
+        r.set("ok", true);
+        if (!pending.id.is_null()) r.set("id", pending.id);
+        r.set("prediction", double(reply.prediction));
+        r.set("model", reply.model_hash);
+        r.set("lat_us", reply.latency_us);
+        out_ << r.dump() << '\n';
+    }
+
+    std::ostream& out_;
+    const std::size_t window_;
+    std::mutex mu_;  // guards queue_, closed_, error_
+    std::condition_variable ready_cv_;  ///< reader -> writer: queue non-empty
+    std::condition_variable room_cv_;   ///< writer -> reader: window has room
+    std::deque<Pending> queue_;
+    bool closed_ = false;
+    std::exception_ptr error_;
+    std::thread thread_;  ///< last: starts once everything above exists
+};
 
 Server::Server(ServerOptions options)
     : options_(std::move(options)),
@@ -156,17 +283,19 @@ Server::Pending Server::process_line(const std::string& line) {
         const std::string name = request.contains("model")
                                      ? request.at("model").as_string()
                                      : "default";
+        // A quarantined target answers predict with kDegraded too - the
+        // client should back off rather than hammer a broken model name.
+        registry_.check_quarantine(name);
+        auto servable = registry_.resolve(name);
         util::BitVector x =
             util::BitVector::from_string(request.at("x").as_string());
         std::optional<std::uint32_t> label;
         if (request.contains("label"))
-            label = std::uint32_t(request.at("label").as_double());
+            label = class_label(request.at("label"),
+                                servable->model.num_classes());
 
-        // A quarantined target answers predict with kDegraded too - the
-        // client should back off rather than hammer a broken model name.
-        registry_.check_quarantine(name);
         pending.future =
-            batcher_.submit(registry_.resolve(name), std::move(x), label);
+            batcher_.submit(std::move(servable), std::move(x), label);
         pending.is_future = true;
     } catch (const ServeError& e) {
         pending.immediate = error_response(pending.id, e.code_name(), e.what(),
@@ -178,57 +307,30 @@ Server::Pending Server::process_line(const std::string& line) {
     return pending;
 }
 
-void Server::emit(std::ostream& out, Pending& pending) {
-    if (pending.is_future) {
-        const Reply reply = pending.future.get();
-        util::Json r = util::Json::object();
-        r.set("ok", true);
-        if (!pending.id.is_null()) r.set("id", pending.id);
-        r.set("prediction", double(reply.prediction));
-        r.set("model", reply.model_hash);
-        r.set("lat_us", reply.latency_us);
-        out << r.dump() << '\n';
-    } else {
-        out << pending.immediate.dump() << '\n';
-    }
-}
-
 int Server::run(std::istream& in, std::ostream& out) {
     if (!registry_.cache_dir().empty())
         registry_.scan_store();
 
-    std::deque<Pending> window;
-    const auto drain_ready = [&] {
-        while (!window.empty() &&
-               (!window.front().is_future ||
-                window.front().future.wait_for(std::chrono::seconds(0)) ==
-                    std::future_status::ready)) {
-            emit(out, window.front());
-            window.pop_front();
-        }
-    };
-
+    // Only the writer touches `out` now; a tie would flush it from this
+    // thread before every read.
+    std::ostream* const tied = in.tie(nullptr);
+    ReplyWriter writer(out, options_.max_inflight);
     std::string line;
     while (!shutdown_requested_.load() && std::getline(in, line)) {
         if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-        window.push_back(process_line(line));
-        drain_ready();
-        // The window bounds how far replies may trail requests: block on
-        // the oldest one rather than queueing without limit.
-        while (window.size() >= options_.max_inflight) {
-            emit(out, window.front());
-            window.pop_front();
+        Pending pending;
+        {
+            TRACE_SPAN("parse_submit", "serve");
+            pending = process_line(line);
         }
+        writer.push(std::move(pending));
     }
 
     // EOF or shutdown: force out any partial batch, answer everything that
     // was accepted, and leave a final status snapshot behind.
     batcher_.flush();
-    while (!window.empty()) {
-        emit(out, window.front());
-        window.pop_front();
-    }
-    out.flush();
+    writer.finish();
+    in.tie(tied);
     if (!options_.status_file.empty()) write_status_file();
     return 0;
 }

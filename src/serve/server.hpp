@@ -21,16 +21,20 @@
 // shed request never kills the daemon.
 //
 // Responses are emitted strictly in request order.  predict replies ride
-// on batcher futures; a bounded re-order window keeps up to `max_inflight`
-// of them outstanding so micro-batches can fill while earlier replies are
-// still pending.  Optionally a background thread snapshots metrics to
+// on batcher futures: the calling thread reads, parses and submits, while
+// a writer thread emits each reply as soon as it and every reply before it
+// are ready, and flushes whenever the next one is not - so a client with a
+// single request outstanding gets its answer without sending another line.
+// At most `max_inflight` replies are owed at once, so micro-batches can
+// fill while earlier replies are still pending.  A predict's optional
+// "label" must be an integer class index of the model that scores it.
+// Optionally a background thread snapshots metrics to
 // `status_file` (atomic rename) every `status_interval_s` - the live
 // `serve-status` document readable while the daemon runs.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
-#include <deque>
 #include <future>
 #include <iosfwd>
 #include <mutex>
@@ -51,7 +55,7 @@ struct ServerOptions {
     std::string cache_dir;       ///< artifact store to scan_store(), "" = none
     std::string status_file;     ///< periodic serve-status JSON, "" = off
     double status_interval_s = 1.0;
-    std::size_t max_inflight = 256;  ///< predict re-order window
+    std::size_t max_inflight = 256;  ///< replies owed before reading pauses
 };
 
 class Server {
@@ -79,6 +83,8 @@ private:
         util::Json id;
         bool is_future = false;
     };
+    /// The writer thread of run() and its bounded in-order queue.
+    class ReplyWriter;
 
     Pending process_line(const std::string& line);
     util::Json handle_control(const util::Json& request, const std::string& op);
@@ -86,7 +92,6 @@ private:
                                      const std::string& code,
                                      const std::string& detail,
                                      double retry_after_ms = 0.0);
-    void emit(std::ostream& out, Pending& pending);
 
     void write_status_file() const;
     void status_loop();

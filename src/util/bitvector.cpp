@@ -1,16 +1,29 @@
 #include "util/bitvector.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace matador::util {
 
 BitVector BitVector::from_string(const std::string& bits) {
     BitVector v(bits.size());
-    for (std::size_t i = 0; i < bits.size(); ++i) {
-        if (bits[i] == '1')
-            v.set(i);
-        else if (bits[i] != '0')
+    // One word at a time, branch-free inside: c - '0' is 0 or 1 for a
+    // valid character and anything above 1 for every other byte, so the
+    // OR of all of them exceeds 1 exactly when the word holds a bad one.
+    for (std::size_t w = 0; w < v.words_.size(); ++w) {
+        const std::size_t base = w * kWordBits;
+        const std::size_t n = std::min(kWordBits, bits.size() - base);
+        std::uint64_t word = 0;
+        unsigned seen = 0;
+        for (std::size_t j = 0; j < n; ++j) {
+            const unsigned d =
+                unsigned(static_cast<unsigned char>(bits[base + j])) - '0';
+            seen |= d;
+            word |= std::uint64_t(d & 1u) << j;
+        }
+        if (seen > 1)
             throw std::invalid_argument("BitVector::from_string: expected '0' or '1'");
+        v.words_[w] = word;
     }
     return v;
 }

@@ -1,10 +1,12 @@
 #include "util/json.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
+#include <system_error>
 
 namespace matador::util {
 
@@ -17,10 +19,21 @@ namespace {
                              names[std::size_t(got)]);
 }
 
+bool needs_escape(char ch) {
+    const auto c = static_cast<unsigned char>(ch);
+    return c == '"' || c == '\\' || c < 0x20;
+}
+
 void dump_string(std::string& out, const std::string& s) {
     out += '"';
-    for (const char ch : s) {
-        const auto c = static_cast<unsigned char>(ch);
+    std::size_t i = 0;
+    while (i < s.size()) {
+        // Plain runs go out in one append; only escapes go char by char.
+        const std::size_t run = i;
+        while (i < s.size() && !needs_escape(s[i])) ++i;
+        out.append(s, run, i - run);
+        if (i == s.size()) break;
+        const auto c = static_cast<unsigned char>(s[i++]);
         switch (c) {
             case '"': out += "\\\""; break;
             case '\\': out += "\\\\"; break;
@@ -29,14 +42,11 @@ void dump_string(std::string& out, const std::string& s) {
             case '\t': out += "\\t"; break;
             case '\b': out += "\\b"; break;
             case '\f': out += "\\f"; break;
-            default:
-                if (c < 0x20) {
-                    char buf[8];
-                    std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                    out += buf;
-                } else {
-                    out += ch;
-                }
+            default: {  // any other control character
+                char buf[8];
+                std::snprintf(buf, sizeof buf, "\\u%04x", c);
+                out += buf;
+            }
         }
     }
     out += '"';
@@ -54,14 +64,18 @@ void dump_number(std::string& out, double v) {
     char buf[40];
     // Integral values print without an exponent or trailing ".0" (except
     // -0.0, whose sign the integer path would drop); everything else uses
-    // max_digits10 so strtod recovers the exact bits.
+    // max_digits10 so strtod recovers the exact bits.  to_chars writes
+    // the same bytes as printf's "%lld" and "%.17g", without the locale
+    // and format-string work.
+    std::to_chars_result r;
     if (v == std::floor(v) && std::fabs(v) < 9.007199254740992e15 &&
         !(v == 0.0 && std::signbit(v))) {
-        std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(v));
+        r = std::to_chars(buf, buf + sizeof buf, static_cast<long long>(v));
     } else {
-        std::snprintf(buf, sizeof buf, "%.17g", v);
+        r = std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general,
+                          17);
     }
-    out += buf;
+    out.append(buf, r.ptr);
 }
 
 // ---------------------------------------------------------------------------
@@ -147,15 +161,15 @@ private:
         expect('"');
         std::string out;
         while (true) {
+            // Copy the run up to the next quote, escape or control
+            // character in one append.
+            const std::size_t run = pos_;
+            while (pos_ < text_.size() && !needs_escape(text_[pos_])) ++pos_;
+            out.append(text_, run, pos_ - run);
             if (pos_ >= text_.size()) fail("unterminated string");
             const char c = text_[pos_++];
             if (c == '"') return out;
-            if (static_cast<unsigned char>(c) < 0x20)
-                fail("unescaped control character in string");
-            if (c != '\\') {
-                out += c;
-                continue;
-            }
+            if (c != '\\') fail("unescaped control character in string");
             if (pos_ >= text_.size()) fail("unterminated escape");
             const char e = text_[pos_++];
             switch (e) {
@@ -196,54 +210,73 @@ private:
                 text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
                 text_[pos_] == '+' || text_[pos_] == '-'))
             ++pos_;
-        const std::string token = text_.substr(start, pos_ - start);
-        char* end = nullptr;
-        const double v = std::strtod(token.c_str(), &end);
-        if (end != token.c_str() + token.size() || token.empty())
-            fail("malformed number '" + token + "'");
+        // from_chars reads the token in place and rounds exactly like
+        // strtod.  It leaves out-of-range values to the caller; strtod's
+        // answer there (+-inf, or 0 and subnormals) is the one kept.
+        const char* const first = text_.data() + start;
+        const char* const last = text_.data() + pos_;
+        double v = 0.0;
+        const auto [end, ec] = std::from_chars(first, last, v);
+        if (ec == std::errc::result_out_of_range && end == last)
+            v = std::strtod(std::string(first, last).c_str(), nullptr);
+        else if (ec != std::errc() || end != last)
+            fail("malformed number '" + std::string(first, last) + "'");
         return Json(v);
+    }
+
+    Json parse_object() {
+        ++pos_;
+        Json obj = Json::object();
+        skip_ws();
+        if (peek() == '}') {
+            ++pos_;
+            return obj;
+        }
+        while (true) {
+            skip_ws();
+            std::string key = parse_string();
+            skip_ws();
+            expect(':');
+            obj.set(key, parse_value());
+            skip_ws();
+            const char sep = peek();
+            ++pos_;
+            if (sep == '}') return obj;
+            if (sep != ',') fail("expected ',' or '}' in object");
+        }
+    }
+
+    Json parse_array() {
+        ++pos_;
+        Json arr = Json::array();
+        skip_ws();
+        if (peek() == ']') {
+            ++pos_;
+            return arr;
+        }
+        while (true) {
+            arr.push_back(parse_value());
+            skip_ws();
+            const char sep = peek();
+            ++pos_;
+            if (sep == ']') return arr;
+            if (sep != ',') fail("expected ',' or ']' in array");
+        }
     }
 
     Json parse_value() {
         skip_ws();
         const char c = peek();
-        if (c == '{') {
-            ++pos_;
-            Json obj = Json::object();
-            skip_ws();
-            if (peek() == '}') {
-                ++pos_;
-                return obj;
-            }
-            while (true) {
-                skip_ws();
-                std::string key = parse_string();
-                skip_ws();
-                expect(':');
-                obj.set(key, parse_value());
-                skip_ws();
-                const char sep = peek();
-                ++pos_;
-                if (sep == '}') return obj;
-                if (sep != ',') fail("expected ',' or '}' in object");
-            }
-        }
-        if (c == '[') {
-            ++pos_;
-            Json arr = Json::array();
-            skip_ws();
-            if (peek() == ']') {
-                ++pos_;
-                return arr;
-            }
-            while (true) {
-                arr.push_back(parse_value());
-                skip_ws();
-                const char sep = peek();
-                ++pos_;
-                if (sep == ']') return arr;
-                if (sep != ',') fail("expected ',' or ']' in array");
-            }
+        if (c == '{' || c == '[') {
+            // Each level is a stack frame; an untrusted line must not be
+            // able to nest its way to a stack overflow.
+            if (depth_ == kMaxDepth)
+                fail("nesting deeper than " + std::to_string(kMaxDepth) +
+                     " levels");
+            ++depth_;
+            Json v = c == '{' ? parse_object() : parse_array();
+            --depth_;
+            return v;
         }
         if (c == '"') return Json(parse_string());
         if (c == 't') {
@@ -263,8 +296,11 @@ private:
         fail("unexpected character");
     }
 
+    static constexpr std::size_t kMaxDepth = 512;
+
     const std::string& text_;
     std::size_t pos_ = 0;
+    std::size_t depth_ = 0;  ///< objects and arrays open around pos_
 };
 
 }  // namespace

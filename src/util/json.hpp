@@ -64,7 +64,8 @@ public:
     std::string dump(int indent = -1) const;
 
     /// Strict parse of one JSON document (trailing garbage is an error).
-    /// Throws std::runtime_error with an offset on malformed input.
+    /// Throws std::runtime_error with an offset on malformed input,
+    /// including objects and arrays nested more than 512 deep.
     static Json parse(const std::string& text);
 
 private:

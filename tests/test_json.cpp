@@ -6,8 +6,10 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <limits>
+#include <string>
 
 namespace {
 
@@ -107,6 +109,64 @@ TEST(Json, RejectsMalformedInput) {
     EXPECT_THROW(Json::parse("nul"), std::runtime_error);
     EXPECT_THROW(Json::parse("1 2"), std::runtime_error);  // trailing garbage
     EXPECT_THROW(Json::parse("{\"a\":1,}"), std::runtime_error);
+}
+
+TEST(Json, NumbersDumpAsPrintfWould) {
+    // The writer's byte format is "%lld" for integral values below 2^53
+    // (except -0) and "%.17g" for everything else.
+    const auto printf_dump = [](double v) {
+        char buf[40];
+        if (v == std::floor(v) && std::fabs(v) < 9.007199254740992e15 &&
+            !(v == 0.0 && std::signbit(v)))
+            std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(v));
+        else
+            std::snprintf(buf, sizeof buf, "%.17g", v);
+        return std::string(buf);
+    };
+    std::uint64_t state = 0x9e3779b97f4a7c15ull;
+    for (int i = 0; i < 20000; ++i) {
+        state = state * 6364136223846793005ull + 1442695040888963407ull;
+        double v = 0.0;
+        if (i % 3 == 0) {
+            std::memcpy(&v, &state, sizeof v);  // any bit pattern
+        } else {
+            // Short decimals and integers, as requests and replies carry.
+            v = double(std::int64_t(state >> 20) % 2000001 - 1000000) /
+                (i % 3 == 1 ? 1.0 : 1000.0);
+        }
+        if (!std::isfinite(v)) continue;
+        EXPECT_EQ(Json(v).dump(), printf_dump(v)) << i;
+    }
+    for (const double v : {0.0, -0.0, 5e-324, 1e300, -9.007199254740992e15,
+                           9.007199254740991e15, 0.1, 1234.5678})
+        EXPECT_EQ(Json(v).dump(), printf_dump(v)) << v;
+}
+
+TEST(Json, OutOfRangeNumbersParseAsStrtodDoes) {
+    EXPECT_EQ(Json::parse("1e400").as_double(),
+              std::numeric_limits<double>::infinity());
+    EXPECT_EQ(Json::parse("-1e400").as_double(),
+              -std::numeric_limits<double>::infinity());
+    EXPECT_EQ(Json::parse("1e-400").as_double(), 0.0);
+    EXPECT_EQ(Json::parse("4.9e-324").as_double(),
+              std::numeric_limits<double>::denorm_min());
+    EXPECT_EQ(Json::parse("1.").as_double(), 1.0);
+    EXPECT_THROW(Json::parse("-"), std::runtime_error);
+    EXPECT_THROW(Json::parse("1e"), std::runtime_error);
+    EXPECT_THROW(Json::parse("1e400e"), std::runtime_error);
+}
+
+TEST(Json, RejectsNestingDeeperThanTheLimit) {
+    const auto nested = [](std::size_t depth) {
+        return std::string(depth, '[') + std::string(depth, ']');
+    };
+    EXPECT_NO_THROW(Json::parse(nested(512)));
+    EXPECT_THROW(Json::parse(nested(513)), std::runtime_error);
+    // A line of a million brackets is an error, not a stack overflow.
+    EXPECT_THROW(Json::parse(std::string(1000000, '[')), std::runtime_error);
+    std::string objects;
+    for (int i = 0; i < 100000; ++i) objects += "{\"a\":";
+    EXPECT_THROW(Json::parse(objects), std::runtime_error);
 }
 
 TEST(Json, TypeMismatchesAndMissingKeysThrowWithContext) {

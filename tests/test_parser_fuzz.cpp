@@ -1,0 +1,212 @@
+// Seeded mutation fuzzing of the parsers every serve request line goes
+// through: util::Json::parse and BitVector::from_string.  g++ ships no
+// libFuzzer, so this is an in-tree mutation loop with a fixed iteration
+// budget; the ASan/UBSan build runs it as part of the full suite.  Every
+// input is derived from a fixed seed, so a failure reproduces exactly.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <iterator>
+#include <sstream>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
+#include "model/trained_model.hpp"
+#include "obs/metrics.hpp"
+#include "serve/metrics.hpp"
+#include "serve/server.hpp"
+#include "util/bitvector.hpp"
+#include "util/json.hpp"
+#include "util/rng.hpp"
+
+namespace {
+
+using namespace matador;
+using util::BitVector;
+using util::Json;
+
+/// Serve request lines and control ops lead the corpus.
+constexpr std::size_t kRequestSeeds = 9;
+
+/// Serve request lines, control ops and manifest documents to mutate.
+std::vector<std::string> seed_corpus() {
+    std::vector<std::string> seeds = {
+        // predict requests, as clients and `eval --dump-requests` write them
+        R"({"id":0,"x":"0101100111010011","label":1})",
+        R"({"op":"predict","x":"1100110011001100","model":"default","id":"r-7"})",
+        R"({"x":"0000000000000000"})",
+        R"({ "id" : 12 , "x" : "1111000011110000" , "label" : 0 })",
+        // control ops
+        R"({"op":"load","path":"model.tm","alias":"canary","id":1})",
+        R"({"op":"load","hash":"1a2b3c"})",
+        R"({"op":"swap","alias":"default","target":"1a2b3c4d5e6f7a8b"})",
+        R"({"op":"models"})",
+        R"({"op":"status","id":null})",
+        // a fault plan and hand-written edge cases
+        R"({"seed": 3, "rules": [{"class": "enospc", "op": "write",
+            "path": "results", "at": 1}, {"class": "eio", "op": "fsync",
+            "at": 2, "count": 4, "p": 0.25}]})",
+        R"(["esc \" \\ \/ \b \f \n \r \t", "é😀", -0, 1e-7,
+            2.5E+300, true, false, null, {}, [[]], {"":{"":[0.1]}}])",
+    };
+    // Manifests the system writes itself: a serve-status snapshot and a
+    // metrics registry document, compact and pretty.
+    serve::ServeMetrics serve_metrics;
+    serve_metrics.record_batch("0123456789abcdef", 17);
+    serve_metrics.record_response("0123456789abcdef", 812.25, true);
+    serve_metrics.record_shed("0123456789abcdef", "queue-full", 1024);
+    seeds.push_back(serve_metrics.snapshot_json().dump());
+    seeds.push_back(serve_metrics.snapshot_json().dump(2));
+    obs::MetricsRegistry registry;
+    registry.counter("shard_points_run", {{"shard", "s0"}}).add(3);
+    registry.gauge("queue_depth").set(7.5);
+    registry.histogram("sat_proof_seconds").record(0.0125);
+    seeds.push_back(registry.to_json().dump(2));
+    return seeds;
+}
+
+/// libFuzzer-style mutations: bit flips, byte swaps, token inserts,
+/// deletions, duplications and truncation.
+class Mutator {
+public:
+    explicit Mutator(std::uint64_t seed) : rng_(seed) {}
+
+    std::string mutate(std::string s) {
+        const std::size_t steps = 1 + below(3);
+        for (std::size_t i = 0; i < steps; ++i) step(s);
+        return s;
+    }
+
+    std::size_t below(std::size_t n) { return n == 0 ? 0 : rng_() % n; }
+
+private:
+    void step(std::string& s) {
+        static const char* const kTokens[] = {
+            "\"", "\\", "\\u", "\\ud83d", "\\udc00", "\\u0000", "{", "}",
+            "[", "]", ",", ":", "true", "null", "false", "1e400", "-0",
+            "1e-400", "4.9e-324", "\"x\":", "\"label\":", "\"op\":",
+            "0101", "\"id\":", " ", "\t", "\x01", "\x7f", "\xc3\xa9", "\xff"};
+        const std::size_t at = below(s.size() + 1);
+        switch (below(6)) {
+            case 0:  // flip one bit
+                if (!s.empty()) s[at % s.size()] ^= char(1u << below(8));
+                break;
+            case 1:  // replace one byte
+                if (!s.empty()) s[at % s.size()] = char(below(256));
+                break;
+            case 2:  // insert a token
+                s.insert(at, kTokens[below(std::size(kTokens))]);
+                break;
+            case 3:  // delete a range
+                s.erase(at, 1 + below(16));
+                break;
+            case 4: {  // duplicate a range somewhere else
+                const std::string piece = s.substr(at, 1 + below(32));
+                s.insert(below(s.size() + 1), piece);
+                break;
+            }
+            default:  // truncate
+                s.resize(at);
+        }
+    }
+
+    util::Xoshiro256ss rng_;
+};
+
+TEST(ParserFuzz, JsonRejectsOrRoundTrips) {
+    const auto seeds = seed_corpus();
+    for (const auto& s : seeds)
+        ASSERT_NO_THROW(Json::parse(s)) << "bad seed: " << s;
+
+    Mutator mutator(20240612);
+    std::size_t accepted = 0;
+    const std::size_t kIterations = 30000;
+    for (std::size_t i = 0; i < kIterations; ++i) {
+        const std::string input =
+            mutator.mutate(seeds[mutator.below(seeds.size())]);
+        Json value;
+        try {
+            value = Json::parse(input);
+        } catch (const std::runtime_error&) {
+            continue;  // rejected cleanly; any other exception fails
+        }
+        ++accepted;
+        const std::string text = value.dump();
+        ASSERT_EQ(Json::parse(text).dump(), text)
+            << "iteration " << i << " input: " << input;
+        ASSERT_EQ(Json::parse(value.dump(2)).dump(), text)
+            << "iteration " << i << " input: " << input;
+    }
+    // The mutator must keep a fair share of inputs parseable, or the
+    // round-trip half of the check would test nothing.
+    EXPECT_GT(accepted, kIterations / 10);
+    EXPECT_LT(accepted, kIterations);
+}
+
+TEST(ParserFuzz, ServerAnswersEveryMutatedLine) {
+    serve::ServerOptions options;
+    options.threads = 1;
+    serve::Server server(options);
+    model::TrainedModel m(16, 2, 4);
+    m.clause(0, 0).include_pos.set(3);
+    m.clause(1, 0).include_neg.set(5);
+    server.registry().set_alias("default", server.registry().add(m)->hash_hex);
+
+    Mutator mutator(77);
+    const auto seeds = seed_corpus();
+    std::vector<std::string> lines;
+    for (std::size_t i = 0; i < 3000; ++i) {
+        std::string line = mutator.mutate(seeds[mutator.below(kRequestSeeds)]);
+        std::replace(line.begin(), line.end(), '\n', ' ');
+        // Blank lines get no reply, and shutdown would stop the reading.
+        if (line.find_first_not_of(" \t\r") == std::string::npos ||
+            line.find("shutdown") != std::string::npos)
+            continue;
+        lines.push_back(std::move(line));
+    }
+    std::string text;
+    for (const auto& line : lines) text += line + "\n";
+    std::istringstream in(text);
+    std::ostringstream out;
+    ASSERT_EQ(server.run(in, out), 0);
+
+    std::istringstream replies(out.str());
+    std::size_t n = 0;
+    for (std::string reply; std::getline(replies, reply); ++n) {
+        const Json r = Json::parse(reply);
+        ASSERT_TRUE(r.at("ok").is_bool()) << reply;
+        if (!r.at("ok").as_bool())
+            EXPECT_TRUE(r.at("error").is_string()) << reply;
+    }
+    EXPECT_EQ(n, lines.size());
+}
+
+TEST(ParserFuzz, FromStringMatchesPerCharacterReference) {
+    util::Xoshiro256ss rng(4242);
+    for (std::size_t len = 0; len <= 1100; ++len) {
+        std::string bits(len, '0');
+        BitVector want(len);
+        for (std::size_t i = 0; i < len; ++i)
+            if (rng() & 1) {
+                bits[i] = '1';
+                want.set(i);
+            }
+        const BitVector got = BitVector::from_string(bits);
+        ASSERT_EQ(got, want) << "length " << len;
+        ASSERT_EQ(got.to_string(), bits);
+        if (len == 0) continue;
+
+        // One invalid byte anywhere must be rejected, including the bytes
+        // just below and above '0'/'1' and '0'/'1' with the high bit set.
+        static const unsigned char kBad[] = {0x00, '/', '2', '9', ' ',
+                                             0xb0, 0xb1, 0xff, 'x'};
+        std::string bad = bits;
+        bad[rng() % len] = char(kBad[rng() % std::size(kBad)]);
+        EXPECT_THROW(BitVector::from_string(bad), std::invalid_argument)
+            << "length " << len;
+    }
+}
+
+}  // namespace

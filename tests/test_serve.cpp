@@ -437,10 +437,19 @@ TEST(Server, PredictErrorsAreTypedAndInOrder) {
     const auto servable = server.registry().add(random_model(16, 2, 4, 32));
     server.registry().set_alias("default", servable->hash_hex);
 
-    std::istringstream in(
-        "{\"id\":0,\"x\":\"000\"}\n"                        // wrong width
-        "{\"id\":1,\"x\":\"0000000000000000\",\"model\":\"nope\"}\n"
-        "{\"id\":2,\"x\":\"0000000000000000\"}\n");
+    // A label must be an integer class index of the (2-class) model:
+    // negative, huge, out-of-range and fractional ones are bad requests.
+    const char* const bad_labels[] = {"-1", "1e300", "7", "2.5", "\"1\""};
+    std::ostringstream in_text;
+    in_text << "{\"id\":0,\"x\":\"000\"}\n"  // wrong width
+            << "{\"id\":1,\"x\":\"0000000000000000\",\"model\":\"nope\"}\n"
+            << "{\"id\":2,\"x\":\"0000000000000000\"}\n";
+    for (std::size_t i = 0; i < std::size(bad_labels); ++i)
+        in_text << "{\"id\":" << 3 + i
+                << ",\"x\":\"0000000000000000\",\"label\":" << bad_labels[i]
+                << "}\n";
+    in_text << "{\"id\":8,\"x\":\"0000000000000000\",\"label\":1}\n";
+    std::istringstream in(in_text.str());
     std::ostringstream out;
     EXPECT_EQ(server.run(in, out), 0);
 
@@ -448,10 +457,23 @@ TEST(Server, PredictErrorsAreTypedAndInOrder) {
     std::istringstream lines(out.str());
     for (std::string line; std::getline(lines, line);)
         replies.push_back(util::Json::parse(line));
-    ASSERT_EQ(replies.size(), 3u);
+    ASSERT_EQ(replies.size(), 9u);
+    for (std::size_t i = 0; i < replies.size(); ++i)
+        EXPECT_EQ(std::size_t(replies[i].at("id").as_double()), i)
+            << "replies out of order";
     EXPECT_EQ(replies[0].at("error").as_string(), "feature-mismatch");
     EXPECT_EQ(replies[1].at("error").as_string(), "unknown-model");
     EXPECT_TRUE(replies[2].at("ok").as_bool());
+    for (std::size_t i = 3; i < 8; ++i) {
+        EXPECT_FALSE(replies[i].at("ok").as_bool()) << bad_labels[i - 3];
+        EXPECT_EQ(replies[i].at("error").as_string(), "bad-request")
+            << bad_labels[i - 3];
+    }
+    EXPECT_TRUE(replies[8].at("ok").as_bool());
+    // Only the valid label reached the rolling accuracy.
+    const auto snap = server.metrics().snapshot();
+    ASSERT_EQ(snap.models.size(), 1u);
+    EXPECT_EQ(snap.models[0].labeled, 1u);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,0 +1,205 @@
+// End-to-end tests of `matador serve` through real pipes: the built CLI
+// (its path comes from CMake as MATADOR_CLI_PATH) is spawned as a child
+// process, exactly as a client would run it.
+#include <gtest/gtest.h>
+
+#include <fcntl.h>
+#include <poll.h>
+#include <signal.h>
+#include <spawn.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <chrono>
+#include <cstdint>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "util/json.hpp"
+
+extern char** environ;
+
+namespace fs = std::filesystem;
+
+namespace {
+
+using matador::util::Json;
+using Clock = std::chrono::steady_clock;
+
+/// A spawned `matador` with optional pipes to its stdin and stdout.
+struct Child {
+    pid_t pid = -1;
+    int to_stdin = -1;     ///< write end, when stdin is a pipe
+    int from_stdout = -1;  ///< read end, when stdout is a pipe
+};
+
+/// Spawn `matador args...`.  An empty `stdin_path` / `stdout_path` gives
+/// a pipe on that side; stderr goes to /dev/null.
+Child spawn(const std::vector<std::string>& args,
+            const std::string& stdin_path = "",
+            const std::string& stdout_path = "") {
+    int in_pipe[2] = {-1, -1};
+    int out_pipe[2] = {-1, -1};
+    posix_spawn_file_actions_t actions;
+    posix_spawn_file_actions_init(&actions);
+    if (stdin_path.empty()) {
+        EXPECT_EQ(pipe(in_pipe), 0);
+        posix_spawn_file_actions_adddup2(&actions, in_pipe[0], 0);
+        posix_spawn_file_actions_addclose(&actions, in_pipe[1]);
+    } else {
+        posix_spawn_file_actions_addopen(&actions, 0, stdin_path.c_str(),
+                                         O_RDONLY, 0);
+    }
+    if (stdout_path.empty()) {
+        EXPECT_EQ(pipe(out_pipe), 0);
+        posix_spawn_file_actions_adddup2(&actions, out_pipe[1], 1);
+        posix_spawn_file_actions_addclose(&actions, out_pipe[0]);
+    } else {
+        posix_spawn_file_actions_addopen(&actions, 1, stdout_path.c_str(),
+                                         O_WRONLY | O_CREAT | O_TRUNC, 0644);
+    }
+    posix_spawn_file_actions_addopen(&actions, 2, "/dev/null", O_WRONLY, 0);
+
+    std::vector<std::string> argv_s = {MATADOR_CLI_PATH};
+    argv_s.insert(argv_s.end(), args.begin(), args.end());
+    std::vector<char*> argv;
+    for (auto& a : argv_s) argv.push_back(a.data());
+    argv.push_back(nullptr);
+
+    Child child;
+    EXPECT_EQ(posix_spawn(&child.pid, argv[0], &actions, nullptr, argv.data(),
+                          environ),
+              0);
+    posix_spawn_file_actions_destroy(&actions);
+    if (stdin_path.empty()) {
+        close(in_pipe[0]);
+        child.to_stdin = in_pipe[1];
+    }
+    if (stdout_path.empty()) {
+        close(out_pipe[1]);
+        child.from_stdout = out_pipe[0];
+    }
+    return child;
+}
+
+/// Exit code of `pid`, or -1 if it had to be killed after `seconds`.
+int wait_exit(pid_t pid, double seconds) {
+    const auto deadline = Clock::now() + std::chrono::duration<double>(seconds);
+    int status = 0;
+    while (waitpid(pid, &status, WNOHANG) == 0) {
+        if (Clock::now() > deadline) {
+            kill(pid, SIGKILL);
+            waitpid(pid, &status, 0);
+            return -1;
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+int run(const std::vector<std::string>& args) {
+    const Child child = spawn(args, "/dev/null", "/dev/null");
+    return wait_exit(child.pid, 120.0);
+}
+
+std::string read_file(const fs::path& path) {
+    std::ifstream f(path, std::ios::binary);
+    std::ostringstream s;
+    s << f.rdbuf();
+    return s.str();
+}
+
+/// One trained model plus `eval`'s golden predictions and the request
+/// stream that should reproduce them, shared by every test.
+class ServeCli : public ::testing::Test {
+protected:
+    static void SetUpTestSuite() {
+        signal(SIGPIPE, SIG_IGN);  // a dead child must fail a check, not us
+        dir_ = fs::temp_directory_path() /
+               ("matador_serve_cli_" + std::to_string(getpid()));
+        fs::remove_all(dir_);
+        fs::create_directories(dir_);
+        ASSERT_EQ(run({"train", "--dataset", "iris-like", "--examples", "150",
+                       "--clauses_per_class", "20", "--epochs", "5",
+                       "--model-out", model()}),
+                  0);
+        ASSERT_EQ(run({"eval", "--model", model(), "--dataset", "iris-like",
+                       "--examples", "150", "--predictions-out", golden(),
+                       "--dump-requests", requests()}),
+                  0);
+    }
+    static void TearDownTestSuite() { fs::remove_all(dir_); }
+
+    static std::string model() { return (dir_ / "iris.tm").string(); }
+    static std::string golden() { return (dir_ / "offline.txt").string(); }
+    static std::string requests() { return (dir_ / "requests.ndjson").string(); }
+
+    static fs::path dir_;
+};
+
+fs::path ServeCli::dir_;
+
+TEST_F(ServeCli, OneOutstandingRequestIsAnsweredWithoutAnotherLine) {
+    std::istringstream reqs(read_file(requests()));
+    std::string first;
+    ASSERT_TRUE(std::getline(reqs, first));
+    std::istringstream preds(read_file(golden()));
+    std::string want;
+    ASSERT_TRUE(std::getline(preds, want));
+
+    Child child = spawn({"serve", "--model", model()});
+    first += "\n";
+    ASSERT_EQ(write(child.to_stdin, first.data(), first.size()),
+              ssize_t(first.size()));
+
+    // Keep stdin open and send nothing more: the reply must come anyway.
+    std::string reply;
+    const auto deadline = Clock::now() + std::chrono::seconds(5);
+    while (reply.find('\n') == std::string::npos && Clock::now() < deadline) {
+        pollfd p{child.from_stdout, POLLIN, 0};
+        if (poll(&p, 1, 50) <= 0) continue;
+        char buf[4096];
+        const ssize_t n = read(child.from_stdout, buf, sizeof buf);
+        if (n <= 0) break;
+        reply.append(buf, std::size_t(n));
+    }
+    close(child.to_stdin);
+    ASSERT_NE(reply.find('\n'), std::string::npos)
+        << "no reply within 5 s to a lone request (got '" << reply << "')";
+    const Json r = Json::parse(reply.substr(0, reply.find('\n')));
+    EXPECT_TRUE(r.at("ok").as_bool()) << reply;
+    EXPECT_EQ(r.at("id").as_double(), 0.0);
+    EXPECT_EQ(std::to_string(std::uint32_t(r.at("prediction").as_double())),
+              want);
+
+    char buf[4096];
+    while (read(child.from_stdout, buf, sizeof buf) > 0) {
+    }
+    close(child.from_stdout);
+    EXPECT_EQ(wait_exit(child.pid, 30.0), 0);
+}
+
+TEST_F(ServeCli, ServedPredictionsAreByteIdenticalToEval) {
+    const std::string replies = (dir_ / "replies.ndjson").string();
+    const Child child = spawn({"serve", "--model", model()}, requests(), replies);
+    ASSERT_EQ(wait_exit(child.pid, 60.0), 0);
+
+    std::istringstream lines(read_file(replies));
+    std::string served;
+    std::size_t k = 0;
+    for (std::string line; std::getline(lines, line); ++k) {
+        const Json r = Json::parse(line);
+        ASSERT_TRUE(r.at("ok").as_bool()) << line;
+        ASSERT_EQ(r.at("id").as_double(), double(k)) << "replies out of order";
+        served += std::to_string(std::uint32_t(r.at("prediction").as_double()));
+        served += "\n";
+    }
+    EXPECT_GT(k, 0u);
+    EXPECT_EQ(served, read_file(golden()));
+}
+
+}  // namespace

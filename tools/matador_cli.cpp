@@ -700,6 +700,10 @@ int cmd_serve(const CliArgs& args, const core::FlowConfig& cfg) {
                      "{\"op\":\"load\",...} requests\n");
     std::fprintf(stderr, "matador serve: ready (%zu model(s))\n",
                  entries.size());
+    // The protocol streams are iostream-only, so they may drop C stdio
+    // sync and keep their own buffers: a synced std::cin fetches every
+    // request byte through a separate locked stdio call.
+    std::ios::sync_with_stdio(false);
     return server.run(std::cin, std::cout);
 }
 
