@@ -386,6 +386,7 @@ public:
         // before any simulation effort is spent.  Cached under the same
         // backend key as the netlists it analyzes.
         const auto lint_fn = [&]() -> LintArtifact {
+            TRACE_SPAN("lint", "verify");
             LintArtifact a;
             a.report = lint::lint_design(*ctx.design, &m);
             return a;
@@ -443,6 +444,7 @@ public:
         bool ladder_skipped = false;
         rtl::VerificationReport rep;
         if (!ctx.cfg.skip_rtl_verification) {
+            TRACE_SPAN("ladder", "verify");
             rep = rtl::verify_design(*ctx.design, m, ctx.cfg.verify_vectors,
                                      /*seed=*/1234);
         } else {
@@ -467,13 +469,17 @@ public:
                 inputs.push_back(std::move(x));
             }
         }
+        obs::SpanGuard sim_span("system-sim", "verify");
         sim::AcceleratorSim simulator(m, *ctx.arch);
         const sim::SimResult sr = simulator.run(inputs);
+        sim_span.close();
 
         // Golden predictions come from the batched engine (bit-identical
         // to m.predict, 64 streamed datapoints per pass).
+        obs::SpanGuard golden_span("golden-predict", "verify");
         const auto golden =
             infer::BatchEngine(m).predict(inputs.data(), inputs.size());
+        golden_span.close();
         bool ok = sr.predictions.size() == inputs.size();
         for (std::size_t i = 0; ok && i < inputs.size(); ++i)
             ok = sr.predictions[i] == golden[i];

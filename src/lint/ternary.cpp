@@ -1,5 +1,6 @@
 #include "lint/ternary.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <stdexcept>
 
@@ -78,7 +79,13 @@ std::vector<TernaryWord> ternary_evaluate(
     return out;
 }
 
-std::vector<bool> po_support(const logic::Aig& aig, std::size_t po) {
+namespace {
+
+/// The backward walk from PO `po`: the PIs it reaches (by PI index) and,
+/// when `ands` is given, the AND nodes of its cone in index (= topological)
+/// order.
+std::vector<bool> walk_cone(const logic::Aig& aig, std::size_t po,
+                            std::vector<std::uint32_t>* ands) {
     std::vector<bool> support(aig.num_pis(), false);
     std::vector<bool> seen(aig.num_nodes(), false);
     std::vector<std::uint32_t> stack{logic::lit_node(aig.po(po))};
@@ -90,11 +97,19 @@ std::vector<bool> po_support(const logic::Aig& aig, std::size_t po) {
         if (aig.is_pi(n)) {
             support[aig.pi_index(n)] = true;
         } else {
+            if (ands) ands->push_back(n);
             stack.push_back(logic::lit_node(aig.node_fanin0(n)));
             stack.push_back(logic::lit_node(aig.node_fanin1(n)));
         }
     }
+    if (ands) std::sort(ands->begin(), ands->end());
     return support;
+}
+
+}  // namespace
+
+std::vector<bool> po_support(const logic::Aig& aig, std::size_t po) {
+    return walk_cone(aig, po, nullptr);
 }
 
 XCheckResult check_x_insensitive(const logic::Aig& aig, std::size_t po,
@@ -104,10 +119,18 @@ XCheckResult check_x_insensitive(const logic::Aig& aig, std::size_t po,
         throw std::invalid_argument("check_x_insensitive: care mask size");
     XCheckResult r;
 
-    const auto support = po_support(aig, po);
+    // Only the PO's cone can reach it, so each sweep simulates just that:
+    // the same lanes ternary_simulate would give for this PO, without
+    // evaluating the rest of the AIG.
+    std::vector<std::uint32_t> cone;
+    const auto support = walk_cone(aig, po, &cone);
+    std::vector<std::size_t> cone_pis;
     r.proved_structural = true;
     for (std::size_t i = 0; i < care.size(); ++i)
-        if (support[i] && !care[i]) r.proved_structural = false;
+        if (support[i]) {
+            cone_pis.push_back(i);
+            if (!care[i]) r.proved_structural = false;
+        }
 
     std::vector<std::size_t> cared;
     for (std::size_t i = 0; i < care.size(); ++i)
@@ -122,6 +145,8 @@ XCheckResult check_x_insensitive(const logic::Aig& aig, std::size_t po,
             ? ((std::size_t(1) << cared.size()) + 63) / 64
             : random_rounds;
     std::vector<TernaryWord> pis(aig.num_pis(), ternary_x());
+    std::vector<TernaryWord> nodes(aig.num_nodes());
+    nodes[0] = ternary_const(0);
     bool x_seen = false;
     for (std::size_t s = 0; s < sweeps; ++s) {
         std::uint64_t valid = ~std::uint64_t(0);
@@ -146,8 +171,11 @@ XCheckResult check_x_insensitive(const logic::Aig& aig, std::size_t po,
         }
         if (exhaustive && cared.size() < 6)
             valid = (std::uint64_t(1) << (std::uint64_t(1) << cared.size())) - 1;
-        const auto out = ternary_simulate(aig, pis);
-        const std::uint64_t x = out[po].unknown & valid;
+        for (const std::size_t i : cone_pis) nodes[logic::lit_node(aig.pi(i))] = pis[i];
+        for (const std::uint32_t n : cone)
+            nodes[n] = ternary_and(lit_value(nodes, aig.node_fanin0(n)),
+                                   lit_value(nodes, aig.node_fanin1(n)));
+        const std::uint64_t x = lit_value(nodes, aig.po(po)).unknown & valid;
         r.lanes_checked += std::popcount(valid);
         r.x_lanes += std::popcount(x);
         x_seen = x_seen || x != 0;

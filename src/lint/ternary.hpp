@@ -84,7 +84,9 @@ struct XCheckResult {
 /// Prove (or refute) that PO `po` is insensitive to every PI whose
 /// `care[i]` is false.  Don't-care PIs are held at X; cared PIs sweep
 /// exhaustively when 2^|care| <= 4096, otherwise `random_rounds` 64-lane
-/// random sweeps seeded by `seed`.
+/// random sweeps seeded by `seed`.  Each sweep simulates only the PO's
+/// cone; the verdict equals one computed with ternary_simulate over the
+/// whole AIG.
 XCheckResult check_x_insensitive(const logic::Aig& aig, std::size_t po,
                                  const std::vector<bool>& care,
                                  std::size_t random_rounds, std::uint64_t seed);

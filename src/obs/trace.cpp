@@ -50,8 +50,11 @@ void TraceRecorder::set_process_name(std::string name) {
 void TraceRecorder::record(TraceEvent ev) {
     if (!enabled()) return;
     ThreadBuffer& buffer = local_buffer();
-    // Single producer per buffer: only this thread writes `count`, so the
-    // plain load / release store pair publishes the slot to exporters.
+    // Single producer per buffer: only this thread writes `events` and
+    // `count`, so the plain load / release store pair publishes the slot
+    // (and, on the first record, the storage itself) to exporters, which
+    // never touch `events` while they read a count of 0.
+    if (buffer.events.empty()) buffer.events.resize(kEventsPerThread);
     const std::size_t i = buffer.count.load(std::memory_order_relaxed);
     if (i >= buffer.events.size()) {
         buffer.dropped.fetch_add(1, std::memory_order_relaxed);

@@ -3,12 +3,15 @@
 // Every thread that records gets its own fixed-capacity event buffer, so
 // the hot path is: one relaxed atomic load (the runtime enable flag), two
 // steady_clock reads, and a single-producer append - no locks, no
-// allocation after the buffer exists.  The registry mutex is taken only
-// when a thread records its first event and at export time; an export can
-// run while traffic continues (it reads each buffer up to its published
-// count, and entries below that count are immutable).  A full buffer
-// drops further events and counts them - tracing is best-effort telemetry,
-// never backpressure.
+// allocation after the buffer's first event.  The event storage itself is
+// allocated by the owning thread on its first record, so a thread that is
+// only named (every pool worker, every serve thread) costs a name, not
+// megabytes, while tracing is off.  The registry mutex is taken only when
+// a thread records its first event and at export time; an export can run
+// while traffic continues (it reads each buffer up to its published count,
+// and entries below that count are immutable).  A full buffer drops
+// further events and counts them - tracing is best-effort telemetry, never
+// backpressure.
 //
 // Exported JSON is the Chrome trace-event format: load the file in
 // Perfetto (ui.perfetto.dev) or chrome://tracing and every named thread is
@@ -100,8 +103,11 @@ public:
 
 private:
     struct ThreadBuffer {
-        explicit ThreadBuffer(unsigned id) : events(kEventsPerThread), tid(id) {}
-        std::vector<TraceEvent> events;    ///< fixed capacity, never resized
+        explicit ThreadBuffer(unsigned id) : tid(id) {}
+        /// Empty until the owning thread's first record, then sized to
+        /// kEventsPerThread (before the first release of `count`) and never
+        /// resized again.
+        std::vector<TraceEvent> events;
         std::atomic<std::size_t> count{0};  ///< published events (release)
         std::atomic<std::uint64_t> dropped{0};
         unsigned tid;

@@ -1,6 +1,7 @@
 #include "sat/prove.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <memory>
 #include <stdexcept>
 
@@ -22,10 +23,19 @@ struct Obligation {
     std::uint32_t clause_id = 0;
 };
 
-/// Miter + CNF encoding of one HCB, shared by its output obligations.
+/// Outputs per job on the prove job list: large enough that claiming a
+/// job is noise next to proving it, small enough that the last jobs
+/// spread over every worker.
+constexpr std::size_t kOutputsPerJob = 64;
+
+/// Miter + CNF encoding of one HCB, shared by its output obligations, and
+/// a solver loaded with that CNF.  Each obligation solves a copy of the
+/// template: a copy is in exactly the state a fresh Solver(enc.cnf) would
+/// be, without re-adding every clause.
 struct HcbContext {
     HcbMiter miter;
     AigCnf enc;
+    Solver solver;  ///< never solved itself
 };
 
 void record_metrics(const SolverStats& s, double seconds) {
@@ -78,7 +88,7 @@ OutputProof prove_output(const rtl::HcbNetlist& hcb, const HcbContext& ctx,
         }
     }
 
-    Solver solver(ctx.enc.cnf);
+    Solver solver = ctx.solver;
     solver.set_max_conflicts(options.max_conflicts);
     const SolveResult res = solver.solve(assumptions);
     p.stats = solver.stats();
@@ -265,23 +275,73 @@ ProveReport prove_design(const std::vector<rtl::HcbNetlist>& hcbs,
                                 std::to_string(global) + " outputs)");
     rep.outputs_total = work.size();
 
-    // Miter + CNF once per HCB; its outputs share the encoding.
+    // Miter, CNF and solver template once per HCB; its outputs share them.
     std::vector<std::unique_ptr<HcbContext>> ctx(hcbs.size());
     for (const auto& ob : work)
         if (!ctx[ob.hcb]) {
+            TRACE_SPAN("hcb-miter", "sat");
             auto c = std::make_unique<HcbContext>();
             c->miter = build_hcb_miter(hcbs[ob.hcb], m);
             c->enc = encode_aig(c->miter.aig);
+            c->solver = Solver(c->enc.cnf);
             ctx[ob.hcb] = std::move(c);
         }
 
+    // Sequential proof (only meaningful when proving the whole design):
+    // base depths 0..min(k, stages)-1, then the step windows.
+    const bool run_induction =
+        options.induction_k > 0 && options.output == kAllOutputs && !hcbs.empty();
+    const std::size_t stages = hcbs.size();
+    const std::size_t k = options.induction_k;
+    std::vector<std::uint32_t> live;
+    if (run_induction) {
+        rep.induction_k = k;
+        rep.induction_complete = k >= stages;
+        std::vector<bool> seen(m.total_clauses(), false);
+        for (const auto& hcb : hcbs)
+            for (const auto cid : hcb.spec.active_clauses)
+                if (!seen[cid]) {
+                    seen[cid] = true;
+                    live.push_back(cid);
+                }
+        std::sort(live.begin(), live.end());
+
+        const auto add_case = [&](bool is_base, std::size_t index) {
+            InductionCase c;
+            c.is_base = is_base;
+            c.index = index;
+            rep.induction.push_back(c);
+        };
+        for (std::size_t d = 0; d < std::min(k, stages); ++d) add_case(true, d);
+        if (k < stages)
+            for (std::size_t t = 0; t + k <= stages - 1; ++t) add_case(false, t);
+    }
+
+    // One job list on the pool: the induction cases first (the long jobs),
+    // then the outputs in chunks.  Workers claim jobs through an atomic
+    // index and write each result to its own slot, so the report does not
+    // depend on which worker ran what.
     rep.outputs.resize(work.size());
+    const std::size_t cases = rep.induction.size();
+    const std::size_t jobs = cases + (work.size() + kOutputsPerJob - 1) / kOutputsPerJob;
+    std::atomic<std::size_t> next_job{0};
     train::WorkerPool pool(train::WorkerPool::resolve(options.threads));
-    pool.run([&](unsigned w) {
-        const auto [first, last] = train::worker_slice(work.size(), w, pool.size());
-        for (std::size_t i = first; i < last; ++i)
-            rep.outputs[i] =
-                prove_output(hcbs[work[i].hcb], *ctx[work[i].hcb], m, work[i], options);
+    pool.run([&](unsigned) {
+        for (;;) {
+            const std::size_t j = next_job.fetch_add(1, std::memory_order_relaxed);
+            if (j >= jobs) return;
+            if (j < cases) {
+                auto& c = rep.induction[j];
+                c = c.is_base ? base_case(hcbs, m, live, c.index, options)
+                              : step_case(hcbs, m, live, c.index, k, options);
+                continue;
+            }
+            const std::size_t first = (j - cases) * kOutputsPerJob;
+            const std::size_t last = std::min(work.size(), first + kOutputsPerJob);
+            for (std::size_t i = first; i < last; ++i)
+                rep.outputs[i] =
+                    prove_output(hcbs[work[i].hcb], *ctx[work[i].hcb], m, work[i], options);
+        }
     });
 
     for (const auto& p : rep.outputs) {
@@ -293,34 +353,7 @@ ProveReport prove_design(const std::vector<rtl::HcbNetlist>& hcbs,
         else
             rep.outputs_unknown++;
     }
-
-    // Sequential proof (only meaningful when proving the whole design).
-    const bool run_induction =
-        options.induction_k > 0 && options.output == kAllOutputs && !hcbs.empty();
     if (run_induction) {
-        rep.induction_k = options.induction_k;
-        const std::size_t stages = hcbs.size();
-        const std::size_t k = options.induction_k;
-        rep.induction_complete = k >= stages;
-
-        std::vector<std::uint32_t> live;
-        {
-            std::vector<bool> seen(m.total_clauses(), false);
-            for (const auto& hcb : hcbs)
-                for (const auto cid : hcb.spec.active_clauses)
-                    if (!seen[cid]) {
-                        seen[cid] = true;
-                        live.push_back(cid);
-                    }
-            std::sort(live.begin(), live.end());
-        }
-
-        for (std::size_t d = 0; d < std::min(k, stages); ++d)
-            rep.induction.push_back(base_case(hcbs, m, live, d, options));
-        if (k < stages)
-            for (std::size_t t = 0; t + k <= stages - 1; ++t)
-                rep.induction.push_back(step_case(hcbs, m, live, t, k, options));
-
         rep.induction_ok = true;
         for (const auto& c : rep.induction) {
             rep.totals += c.stats;

@@ -19,6 +19,15 @@
 // stage-dependent, so every window is its own obligation; when k >= the
 // number of stages the base cases alone are a complete proof (plain BMC)
 // and the step cases vanish.
+//
+// Every obligation is independent, so prove_design drains one job list on
+// a worker pool: the induction cases first (each builds and solves its own
+// unrolled AIG; they are the long jobs), then the outputs in fixed-size
+// chunks.  Workers claim jobs through an atomic index and each result
+// lands in its own slot, so the report - verdicts, witnesses, solver stats
+// - is the same at any thread count; only the `seconds` fields vary.
+// Outputs of one HCB share its miter, CNF and a solver template that each
+// obligation copies.
 #pragma once
 
 #include <cstdint>
@@ -51,7 +60,8 @@ struct ProveOptions {
     bool use_cared_cube = true;
     /// Conflict budget per obligation (0 = unlimited).
     std::uint64_t max_conflicts = 0;
-    /// Worker threads for the per-output fan-out (0 = all hardware threads).
+    /// Worker threads draining the prove job list - the induction cases
+    /// and the per-output obligations alike (0 = all hardware threads).
     unsigned threads = 1;
     /// Ternary re-check knobs (match lint::LintOptions defaults).
     std::size_t ternary_rounds = 2;

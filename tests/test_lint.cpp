@@ -9,7 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <filesystem>
+#include <vector>
 
 #include "core/artifact_store.hpp"
 #include "lint/ternary.hpp"
@@ -405,6 +408,95 @@ TEST(Ternary, XCheckProvesExhaustivelyWhenDontCareIsMasked) {
     EXPECT_TRUE(r.proved_exhaustive);
     EXPECT_FALSE(r.failed());
     EXPECT_GT(r.lanes_checked, 0u);
+}
+
+/// The X-check as specified, sweeping with ternary_simulate over the whole
+/// AIG: the oracle for check_x_insensitive, which simulates only the PO's
+/// cone.
+lint::XCheckResult whole_aig_x_check(const Aig& aig, std::size_t po,
+                                     const std::vector<bool>& care,
+                                     std::size_t random_rounds, std::uint64_t seed) {
+    lint::XCheckResult r;
+    const auto support = lint::po_support(aig, po);
+    std::vector<std::size_t> cared;
+    r.proved_structural = true;
+    for (std::size_t i = 0; i < care.size(); ++i) {
+        if (support[i] && !care[i]) r.proved_structural = false;
+        if (care[i]) cared.push_back(i);
+    }
+    const bool exhaustive = cared.size() <= 12;
+    util::Xoshiro256ss rng(seed);
+    const std::size_t sweeps =
+        exhaustive ? ((std::size_t(1) << cared.size()) + 63) / 64 : random_rounds;
+    std::vector<TernaryWord> pis(aig.num_pis(), ternary_x());
+    bool x_seen = false;
+    for (std::size_t s = 0; s < sweeps; ++s) {
+        for (std::size_t j = 0; j < cared.size(); ++j) {
+            static constexpr std::uint64_t kLanePatterns[6] = {
+                0xaaaaaaaaaaaaaaaaull, 0xccccccccccccccccull, 0xf0f0f0f0f0f0f0f0ull,
+                0xff00ff00ff00ff00ull, 0xffff0000ffff0000ull, 0xffffffff00000000ull};
+            std::uint64_t pattern;
+            if (!exhaustive)
+                pattern = rng();
+            else if (j < 6)
+                pattern = kLanePatterns[j];
+            else
+                pattern = (s >> (j - 6)) & 1 ? ~std::uint64_t(0) : 0;
+            pis[cared[j]] = ternary_const(pattern);
+        }
+        std::uint64_t valid = ~std::uint64_t(0);
+        if (exhaustive && cared.size() < 6)
+            valid = (std::uint64_t(1) << (std::uint64_t(1) << cared.size())) - 1;
+        const std::uint64_t x = lint::ternary_simulate(aig, pis)[po].unknown & valid;
+        r.lanes_checked += std::size_t(std::popcount(valid));
+        r.x_lanes += std::size_t(std::popcount(x));
+        x_seen = x_seen || x != 0;
+    }
+    r.proved_exhaustive = exhaustive && !x_seen;
+    return r;
+}
+
+TEST(Ternary, ConeLocalXCheckMatchesWholeAigSimulation) {
+    util::Xoshiro256ss rng(2024);
+    std::size_t exhaustive = 0, random = 0, failed = 0, proved = 0;
+    for (int trial = 0; trial < 400; ++trial) {
+        // Gates over earlier literals (constants and PIs included), so
+        // cones overlap and some POs sit directly on a PI or a constant.
+        Aig aig(/*strash=*/trial % 2 == 0);
+        std::vector<logic::Lit> lits{logic::kConst0};
+        const std::size_t n_pis = 1 + rng.below(20);
+        for (std::size_t i = 0; i < n_pis; ++i) lits.push_back(aig.create_pi());
+        const auto pick = [&] {
+            const logic::Lit l = lits[rng.below(lits.size())];
+            return rng() & 1 ? logic::lit_not(l) : l;
+        };
+        const std::size_t n_ands = rng.below(60);
+        for (std::size_t i = 0; i < n_ands; ++i) lits.push_back(aig.create_and(pick(), pick()));
+        for (int i = 0; i < 4; ++i) aig.add_po(pick());
+
+        const double density = 0.3 + 0.2 * double(trial % 4);
+        std::vector<bool> care(n_pis);
+        for (std::size_t i = 0; i < n_pis; ++i) care[i] = rng.bernoulli(density);
+        const std::size_t cared = std::size_t(std::count(care.begin(), care.end(), true));
+        (cared <= 12 ? exhaustive : random)++;
+
+        for (std::size_t po = 0; po < aig.num_pos(); ++po) {
+            const std::uint64_t seed = rng();
+            const auto want = whole_aig_x_check(aig, po, care, 3, seed);
+            const auto got = check_x_insensitive(aig, po, care, 3, seed);
+            EXPECT_EQ(got.proved_structural, want.proved_structural) << trial << "/" << po;
+            EXPECT_EQ(got.proved_exhaustive, want.proved_exhaustive) << trial << "/" << po;
+            EXPECT_EQ(got.lanes_checked, want.lanes_checked) << trial << "/" << po;
+            EXPECT_EQ(got.x_lanes, want.x_lanes) << trial << "/" << po;
+            failed += want.failed();
+            proved += want.proved();
+        }
+    }
+    // Both sweep modes and both verdicts were exercised.
+    EXPECT_GT(exhaustive, 0u);
+    EXPECT_GT(random, 0u);
+    EXPECT_GT(failed, 0u);
+    EXPECT_GT(proved, 0u);
 }
 
 // ---------------------------------------------------------------------------

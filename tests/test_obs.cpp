@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -121,6 +122,71 @@ TEST_F(ObsTest, DisabledRecorderCostsNoEventsButTimedSpanStillMeasures) {
     const double secs = watch.finish();
     EXPECT_GE(secs, 0.0);
     EXPECT_EQ(rec.recorded_total(), before);
+}
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define MATADOR_TEST_SANITIZED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define MATADOR_TEST_SANITIZED 1
+#endif
+#endif
+
+/// Resident set size of this process, in bytes (0 when unreadable).
+std::size_t vm_rss_bytes() {
+    std::ifstream status("/proc/self/status");
+    for (std::string line; std::getline(status, line);)
+        if (line.rfind("VmRSS:", 0) == 0) return std::stoul(line.substr(6)) * 1024;
+    return 0;
+}
+
+TEST_F(ObsTest, NamedThreadsWithTracingOffAllocateNoEventStorage) {
+#ifdef MATADOR_TEST_SANITIZED
+    GTEST_SKIP() << "sanitizer shadow memory skews VmRSS";
+#endif
+    auto& rec = obs::TraceRecorder::instance();
+    ASSERT_FALSE(rec.enabled());
+    const std::size_t before = vm_rss_bytes();
+    ASSERT_GT(before, 0u);
+    constexpr int kThreads = 8;
+    std::vector<std::thread> threads;
+    for (int i = 0; i < kThreads; ++i)
+        threads.emplace_back([i] {
+            obs::set_thread_name("rss-" + std::to_string(i));
+            TRACE_SPAN("invisible", "test");
+        });
+    for (auto& t : threads) t.join();
+    // One full event buffer is kEventsPerThread events (about 11 MB); a
+    // named thread that never records must not pay for it.
+    EXPECT_LT(vm_rss_bytes(), before + (std::size_t(16) << 20));
+
+    // The names still export as tracks.
+    int named = 0;
+    for (const Json& ev : find_events(rec.to_json(), "M", "thread_name"))
+        named += ev.at("args").at("name").as_string().rfind("rss-", 0) == 0;
+    EXPECT_EQ(named, kThreads);
+}
+
+TEST_F(ObsTest, ExportRacesThreadsRecordingTheirFirstEvents) {
+    // Each thread allocates its event storage on its first record while
+    // the main thread keeps exporting (the TSan job runs this).
+    auto& rec = obs::TraceRecorder::instance();
+    rec.enable();
+    constexpr int kThreads = 4;
+    constexpr int kSpans = 200;
+    std::atomic<int> done{0};
+    std::vector<std::thread> threads;
+    for (int i = 0; i < kThreads; ++i)
+        threads.emplace_back([&, i] {
+            obs::set_thread_name("racer-" + std::to_string(i));
+            for (int s = 0; s < kSpans; ++s) obs::SpanGuard span("racer-span", "test");
+            done.fetch_add(1);
+        });
+    while (done.load() < kThreads) rec.to_json();
+    for (auto& t : threads) t.join();
+    rec.disable();
+    EXPECT_EQ(find_events(rec.to_json(), "X", "racer-span").size(),
+              std::size_t(kThreads * kSpans));
 }
 
 TEST_F(ObsTest, FullBufferDropsAndCounts) {

@@ -14,6 +14,9 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "logic/aig_simulate.hpp"
 #include "model/architecture.hpp"
@@ -385,20 +388,75 @@ TEST(SatProve, ReportJsonRoundTrip) {
                  std::runtime_error);
 }
 
+/// The report's JSON with every `seconds` zeroed: everything a prove run
+/// must reproduce at any thread count.
+std::string report_without_seconds(sat::ProveReport r) {
+    r.seconds = 0.0;
+    for (auto& o : r.outputs) o.seconds = 0.0;
+    for (auto& c : r.induction) c.seconds = 0.0;
+    return sat::prove_report_to_json(r).dump();
+}
+
+/// Where two report texts first differ, with context; empty when equal.
+std::string first_difference(const std::string& a, const std::string& b) {
+    if (a == b) return "";
+    const auto at = std::size_t(std::mismatch(a.begin(), a.end(), b.begin(), b.end()).first -
+                                a.begin());
+    const std::size_t from = at < 60 ? 0 : at - 60;
+    return "byte " + std::to_string(at) + ": ..." + a.substr(from, 120) + "... vs ..." +
+           b.substr(from, 120) + "...";
+}
+
 TEST(SatProve, ParallelFanOutMatchesSerial) {
-    const auto m = random_model(16, 3, 4, 0.25, 11);
-    const auto design = generate(m, true, 8);
-    sat::ProveOptions serial;
-    serial.threads = 1;
-    sat::ProveOptions fan;
-    fan.threads = 4;
-    const auto a = sat::prove_design(design.hcbs, m, serial);
-    const auto b = sat::prove_design(design.hcbs, m, fan);
-    EXPECT_EQ(a.equivalent, b.equivalent);
-    EXPECT_EQ(a.outputs_proved, b.outputs_proved);
-    ASSERT_EQ(a.outputs.size(), b.outputs.size());
-    for (std::size_t i = 0; i < a.outputs.size(); ++i)
-        EXPECT_EQ(a.outputs[i].result, b.outputs[i].result) << "output " << i;
+    // 24 features over a 4-bit bus: a 6-stage chain whose few hundred
+    // outputs span several jobs of the prove job list.
+    const auto m = random_model(24, 4, 16, 0.2, 11);
+    const auto clean = generate(m, true, 4);
+    const std::size_t stages = clean.hcbs.size();
+    ASSERT_GT(stages, 2u);
+    auto faulty = clean;
+    auto& bad = faulty.hcbs[stages / 2].aig;
+    ASSERT_GT(bad.num_pos(), 0u);
+    bad.set_po(0, logic::lit_not(bad.po(0)));
+
+    struct Run {
+        const char* name;
+        const rtl::RtlDesign* design;
+        std::size_t induction_k;
+    };
+    for (const Run& run : {Run{"k=1", &clean, 1}, Run{"k>=stages", &clean, stages},
+                           Run{"injected fault", &faulty, 1}}) {
+        sat::ProveOptions opt;
+        opt.induction_k = run.induction_k;
+        opt.threads = 1;
+        const auto serial = sat::prove_design(run.design->hcbs, m, opt);
+        ASSERT_GT(serial.outputs_total, 64u) << run.name;
+        ASSERT_FALSE(serial.induction.empty()) << run.name;
+        EXPECT_EQ(serial.equivalent, run.design == &clean) << run.name;
+        const std::string want = report_without_seconds(serial);
+
+        // The fault's witness: which output failed, the counterexample and
+        // whether it re-simulated.
+        const auto failures = [](const sat::ProveReport& r) {
+            std::vector<std::pair<std::size_t, std::vector<bool>>> f;
+            for (const auto& o : r.outputs)
+                if (o.result == SolveResult::kSat && o.counterexample_confirmed)
+                    f.emplace_back(o.output, o.counterexample);
+            return f;
+        };
+        if (run.design == &faulty) {
+            EXPECT_EQ(serial.outputs_failed, 1u);
+            EXPECT_EQ(failures(serial).size(), 1u);
+        }
+        for (const unsigned threads : {2u, 4u, 8u}) {
+            opt.threads = threads;
+            const auto par = sat::prove_design(run.design->hcbs, m, opt);
+            EXPECT_EQ(failures(par), failures(serial))
+                << run.name << ", threads=" << threads;
+            EXPECT_EQ(first_difference(report_without_seconds(par), want), "")
+                << run.name << ", threads=" << threads;
+        }
+    }
 }
 
 }  // namespace
