@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <exception>
+#include <future>
 #include <sstream>
 #include <stdexcept>
 
@@ -370,6 +372,47 @@ public:
     }
 };
 
+/// The SAT rung as its thread leaves it: the report, the store tier that
+/// served it, and what the store and the prover raised, held until the
+/// verify stage reports the rung.
+struct ProofRun {
+    ProofArtifact artifact;
+    ArtifactTier tier = ArtifactTier::kNone;
+    std::vector<std::string> warnings;
+    std::exception_ptr error;
+};
+
+/// Levels 3-4 of the ladder: SAT-proved scalar-vs-netlist equivalence per
+/// output slice plus k-induction over the chain.  Cached under the proof
+/// key (backend hash + SAT subsystem version + induction depth) and fanned
+/// per output over the worker pool.  Reads only the netlists, the model,
+/// the config and the store, so it can run beside the other rungs.
+ProofRun run_proof(const FlowConfig& cfg, const rtl::RtlDesign& design,
+                   const model::TrainedModel& m, ArtifactStore* store) {
+    ProofRun run;
+    try {
+        const auto prove_fn = [&]() -> ProofArtifact {
+            ProofArtifact a;
+            sat::ProveOptions popt;
+            popt.induction_k = cfg.induction_k;
+            popt.threads = unsigned(cfg.train_threads);
+            a.report = sat::prove_design(design.hcbs, m, popt);
+            return a;
+        };
+        if (store) {
+            const auto key = proof_cache_key(cfg, m.content_hash());
+            run.artifact = store->get_or_compute_proof(
+                key, prove_fn, &run.tier,
+                [&](const std::string& msg) { run.warnings.push_back(msg); });
+        } else {
+            run.artifact = prove_fn();
+        }
+    } catch (...) {
+        run.error = std::current_exception();
+    }
+    return run;
+}
+
 class VerifyStage final : public Stage {
 public:
     StageKind kind() const override { return StageKind::kVerify; }
@@ -381,10 +424,22 @@ public:
         }
         const auto& m = *ctx.trained;
 
+        // The SAT rung (opt-in) is the longest and depends on no other
+        // rung, so it starts first on its own thread; lint, the ladder and
+        // the system sim run here meanwhile, all of them only reading the
+        // design and the model.  The stage takes the proof where it
+        // reports it, after those rungs.  Destroying the future waits for
+        // the thread, so every return and exception path joins it.
+        std::future<ProofRun> proof_run;
+        if (ctx.cfg.verify_sat)
+            proof_run = std::async(std::launch::async, run_proof, std::cref(ctx.cfg),
+                                   std::cref(*ctx.design), std::cref(m), ctx.store.get());
+
         // Level 0 of the ladder: static analysis over the generated
-        // netlists.  Pure structure - no vectors - so it runs (and fails)
-        // before any simulation effort is spent.  Cached under the same
-        // backend key as the netlists it analyzes.
+        // netlists.  Pure structure - no vectors - so a lint error fails
+        // the stage before the ladder and the system sim run; a proof
+        // already under way is waited for and discarded.  Cached under the
+        // same backend key as the netlists it analyzes.
         const auto lint_fn = [&]() -> LintArtifact {
             TRACE_SPAN("lint", "verify");
             LintArtifact a;
@@ -490,36 +545,18 @@ public:
         ctx.measured_latency_cycles = sr.first_latency_cycles;
         ctx.measured_ii = sr.mean_initiation_interval;
 
-        // Levels 3-4 of the ladder (opt-in): SAT-proved scalar-vs-netlist
-        // equivalence per output slice plus k-induction over the chain.
-        // Cached under the proof key (backend hash + SAT subsystem version
-        // + induction depth) and fanned per output over the worker pool.
+        // Levels 3-4: take the proof started above.
         bool proof_ok = true;
-        if (ctx.cfg.verify_sat) {
-            const auto prove_fn = [&]() -> ProofArtifact {
-                ProofArtifact a;
-                sat::ProveOptions popt;
-                popt.induction_k = ctx.cfg.induction_k;
-                popt.threads = unsigned(ctx.cfg.train_threads);
-                a.report = sat::prove_design(ctx.design->hcbs, m, popt);
-                return a;
-            };
-            ArtifactTier proof_tier = ArtifactTier::kNone;
-            ProofArtifact proof_artifact;
-            if (ctx.store) {
-                const auto key = proof_cache_key(ctx.cfg, m.content_hash());
-                proof_artifact = ctx.store->get_or_compute_proof(
-                    key, prove_fn, &proof_tier,
-                    [&](const std::string& msg) { ctx.warn(kind(), msg); });
-            } else {
-                proof_artifact = prove_fn();
-            }
-            ctx.proof = std::move(proof_artifact.report);
-            if (ctx.store) count_cache_lookup(kind(), proof_tier);
-            if (proof_tier != ArtifactTier::kNone)
+        if (proof_run.valid()) {
+            ProofRun proof = proof_run.get();
+            for (auto& w : proof.warnings) ctx.warn(kind(), std::move(w));
+            if (proof.error) std::rethrow_exception(proof.error);
+            ctx.proof = std::move(proof.artifact.report);
+            if (ctx.store) count_cache_lookup(kind(), proof.tier);
+            if (proof.tier != ArtifactTier::kNone)
                 ctx.note(kind(),
                          std::string("proof report served from artifact store (") +
-                             tier_name(proof_tier) + " tier)");
+                             tier_name(proof.tier) + " tier)");
             ctx.record(kind()).detail +=
                 "; prove: " + std::to_string(ctx.proof->outputs_proved) + "/" +
                 std::to_string(ctx.proof->outputs_total) + " unsat";

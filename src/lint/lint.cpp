@@ -46,53 +46,46 @@ std::string LintReport::summary() const {
 
 namespace {
 
-/// Care mask of one HCB output: the packet bits its clause includes plus
-/// its own chain input.  Everything else is a don't-care the output must
-/// provably ignore.
-std::vector<bool> hcb_output_care(const rtl::HcbNetlist& hcb, std::size_t out,
-                                  const model::TrainedModel& m) {
-    const auto& spec = hcb.spec;
-    std::vector<bool> care(hcb.aig.num_pis(), false);
-    const std::uint32_t cid = spec.active_clauses[out];
-    const auto& clause = m.clause(cid / m.clauses_per_class(),
-                                  cid % m.clauses_per_class());
-    for (std::size_t f = spec.lo; f < spec.hi; ++f)
-        if (clause.include_pos.get(f) || clause.include_neg.get(f))
-            care[f - spec.lo] = true;
-    if (spec.has_chain_input[out]) {
-        // Chain PIs follow the packet bits, one per chained active clause
-        // in order.
-        std::size_t chain_pi = spec.hi - spec.lo;
-        for (std::size_t i = 0; i < out; ++i)
-            if (spec.has_chain_input[i]) ++chain_pi;
-        if (chain_pi < care.size()) care[chain_pi] = true;
-    }
-    return care;
-}
-
 void lint_hcb_x_sensitivity(const rtl::HcbNetlist& hcb, std::size_t index,
                             const model::TrainedModel& m,
                             const LintOptions& options, LintReport& report) {
     const std::string where = "hcb " + std::to_string(index) + " aig";
+    const auto& spec = hcb.spec;
+    const std::size_t packet_bits = spec.hi - spec.lo;
+    // Care mask of one output: the packet bits its clause includes plus its
+    // own chain input.  Everything else is a don't-care the output must
+    // provably ignore.  One mask serves every output: the packet bits are
+    // rewritten per output and the chain bit is cleared after it.  Chain
+    // PIs follow the packet bits, one per chained active clause in order.
+    std::vector<bool> care(hcb.aig.num_pis(), false);
+    std::size_t chain_pi = packet_bits;
     for (std::size_t out = 0; out < hcb.aig.num_pos(); ++out) {
-        const auto care = hcb_output_care(hcb, out, m);
+        const std::uint32_t cid = spec.active_clauses[out];
+        const auto& clause = m.clause(cid / m.clauses_per_class(),
+                                      cid % m.clauses_per_class());
+        for (std::size_t f = spec.lo; f < spec.hi; ++f)
+            care[f - spec.lo] = clause.include_pos.get(f) || clause.include_neg.get(f);
+        const bool chained = spec.has_chain_input[out] && chain_pi < care.size();
+        if (chained) care[chain_pi] = true;
         const auto r = check_x_insensitive(hcb.aig, out, care,
                                            options.ternary_rounds,
                                            options.seed + index * 1315423911u);
+        if (chained) care[chain_pi] = false;
+        if (spec.has_chain_input[out]) ++chain_pi;
         report.stats.x_outputs_checked += 1;
         report.stats.x_lanes_simulated += r.lanes_checked;
         if (r.proved_structural) report.stats.x_proved_structural += 1;
         if (r.proved_exhaustive) report.stats.x_proved_exhaustive += 1;
+        if (r.proved()) continue;  // a proof never has X lanes
         const std::string object =
-            "po " + std::to_string(out) + " (clause " +
-            std::to_string(hcb.spec.active_clauses[out]) + ")";
+            "po " + std::to_string(out) + " (clause " + std::to_string(cid) + ")";
         if (r.failed()) {
             report.findings.push_back(
                 {check::kXSensitive, Severity::kError, where, object,
                  "output observed a don't-care input in " +
                      std::to_string(r.x_lanes) + " of " +
                      std::to_string(r.lanes_checked) + " ternary lanes"});
-        } else if (!r.proved()) {
+        } else {
             // Structural leak but no X surfaced: either a false alarm of
             // the pessimistic abstraction or an unexercised path - worth a
             // warning, not a failure.

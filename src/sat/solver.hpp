@@ -6,13 +6,26 @@
 // restarts, and solve-under-assumptions for the incremental miter queries
 // of the prove tier.
 //
+// Storage follows MiniSat (Een & Sorensson, "An Extensible SAT-solver",
+// SAT 2003).  Every clause's literals sit back to back in one arena, each
+// clause an offset and a size into it, and every literal's watch list is a
+// span of one shared pool, so copying a loaded solver - what the prover
+// does once per output - is a few buffer copies, and propagation
+// allocates only when a list outgrows its span.  Propagation compacts each
+// watch list in place and keeps its watchers in order: the search
+// (decisions, propagations, conflicts) follows from that order, and
+// test_sat pins it.
+//
 // Every UNSAT answer is self-checkable: the solver records its learned
 // clauses in derivation order, and verify_unsat() replays them as a
 // DRAT-style RUP trace - each learned clause's negation must unit-propagate
 // to a conflict over the original clauses plus the previously verified
 // prefix, and the final database (plus the assumption units) must propagate
 // to the empty clause.  A proof that fails to replay demotes the answer to
-// "unknown", so a solver bug can never silently certify equivalence.
+// "unknown", so a solver bug can never silently certify equivalence.  The
+// replay is sound on its own: it watches two non-false literals of every
+// clause it loads, so it holds on a solver that never ran solve() and on a
+// satisfiable formula (where it returns false) alike.
 #pragma once
 
 #include <cstdint>
@@ -87,10 +100,40 @@ private:
     static constexpr int kNoReason = -1;
     enum : std::int8_t { kUndef = 0, kTrue = 1, kFalse = 2 };
 
-    struct Clause {
-        std::vector<Lit> lits;
+    /// One clause: `size` literals at arena_[offset], the two watched ones
+    /// first.  Never hold a pointer into the arena across a push to it.
+    struct ClauseRef {
+        std::uint32_t offset = 0;
+        std::uint32_t size = 0;
         bool learned = false;
     };
+
+    Lit* lits(int ci) { return arena_.data() + clauses_[ci].offset; }
+    const Lit* lits(int ci) const { return arena_.data() + clauses_[ci].offset; }
+    /// Append a clause to the arena; returns its index.
+    int push_clause(const std::vector<Lit>& c, bool learned);
+
+    /// One watch list per literal, all in one pool: list l holds
+    /// pool_[start, start + size) with room for `cap`.  A push onto a full
+    /// list moves it to the pool's end with twice the room, keeping its
+    /// order.  A push may reallocate the pool, so hold list positions, not
+    /// pointers, across one.
+    class WatchLists {
+    public:
+        void add_literals(std::size_t n) { spans_.resize(spans_.size() + n); }
+        std::size_t size(Lit l) const { return spans_[l].size; }
+        int& at(Lit l, std::size_t i) { return pool_[spans_[l].start + i]; }
+        void push(Lit l, int ci);
+        void truncate(Lit l, std::size_t n) { spans_[l].size = std::uint32_t(n); }
+
+    private:
+        struct Span {
+            std::uint32_t start = 0, size = 0, cap = 0;
+        };
+        std::vector<Span> spans_;
+        std::vector<int> pool_;
+    };
+    class RupChecker;  ///< verify_unsat's replay engine
 
     std::int8_t value(Lit l) const {
         const auto v = assign_[var_of(l)];
@@ -118,8 +161,9 @@ private:
     static constexpr double kVarDecay = 0.95;
     static constexpr double kRescaleLimit = 1e100;
 
-    std::vector<Clause> clauses_;
-    std::vector<std::vector<int>> watches_;  ///< per literal: clause indices
+    std::vector<Lit> arena_;                 ///< every clause's literals
+    std::vector<ClauseRef> clauses_;
+    WatchLists watches_;                     ///< per literal: clause indices
     std::vector<std::int8_t> assign_;        ///< per var
     std::vector<std::int8_t> phase_;         ///< per var: last polarity
     std::vector<std::uint32_t> level_;       ///< per var

@@ -10,8 +10,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <filesystem>
+#include <utility>
 #include <vector>
 
 #include "core/artifact_store.hpp"
@@ -527,6 +529,76 @@ TEST(LintDesign, CareMaskViolationFiresXSensitive) {
     EXPECT_TRUE(has_check(report.findings, lint::check::kXSensitive))
         << lint::format_lint_report(report);
     EXPECT_GT(report.errors() + report.warnings(), 0u);
+}
+
+/// Lint's X pass recomputed with a fresh care mask per output - the packet
+/// bits the output's clause includes plus its own chain input - as
+/// (outputs, structural, exhaustive, lanes) and the outputs left unproved.
+struct XPassOracle {
+    std::array<std::size_t, 4> stats{};
+    std::vector<std::string> unproved;
+};
+
+XPassOracle x_pass_oracle(const rtl::RtlDesign& design, const model::TrainedModel& m) {
+    const lint::LintOptions options;
+    XPassOracle x;
+    for (std::size_t h = 0; h < design.hcbs.size(); ++h) {
+        const auto& hcb = design.hcbs[h];
+        const auto& spec = hcb.spec;
+        for (std::size_t out = 0; out < hcb.aig.num_pos(); ++out) {
+            std::vector<bool> care(hcb.aig.num_pis(), false);
+            const std::uint32_t cid = spec.active_clauses[out];
+            const auto& clause = m.clause(cid / m.clauses_per_class(), cid % m.clauses_per_class());
+            for (std::size_t f = spec.lo; f < spec.hi; ++f)
+                care[f - spec.lo] = clause.include_pos.get(f) || clause.include_neg.get(f);
+            if (spec.has_chain_input[out]) {
+                std::size_t chain_pi = spec.hi - spec.lo;
+                for (std::size_t i = 0; i < out; ++i) chain_pi += spec.has_chain_input[i];
+                care.at(chain_pi) = true;
+            }
+            const auto r = check_x_insensitive(hcb.aig, out, care, options.ternary_rounds,
+                                               options.seed + h * 1315423911u);
+            x.stats[0] += 1;
+            x.stats[1] += r.proved_structural;
+            x.stats[2] += r.proved_exhaustive;
+            x.stats[3] += r.lanes_checked;
+            if (!r.proved())
+                x.unproved.push_back("hcb " + std::to_string(h) + " aig / po " +
+                                     std::to_string(out) + " (clause " + std::to_string(cid) + ")");
+        }
+    }
+    return x;
+}
+
+TEST(LintDesign, XPassMatchesPerOutputCareMasks) {
+    // A 6-stage chain (24 features over a 4-bit bus), so most outputs have
+    // a chain input; the lying model leaves a third of the clauses short of
+    // one include, so some outputs fail and the rest must not inherit their
+    // masks.
+    const auto m = random_model(24, 4, 16, 0.2, 11);
+    const auto design = generate(m, /*strash=*/true, /*bus_width=*/4);
+    ASSERT_GT(design.hcbs.size(), 2u);
+    model::TrainedModel lying = m;
+    for (std::size_t c = 0; c < m.num_classes(); ++c)
+        for (std::size_t j = 0; j < m.clauses_per_class(); j += 3)
+            for (std::size_t f = 0; f < m.num_features(); ++f)
+                if (lying.clause(c, j).include_pos.get(f)) {
+                    lying.clause(c, j).include_pos.clear(f);
+                    break;
+                }
+    for (const auto* model : {&m, &std::as_const(lying)}) {
+        const auto want = x_pass_oracle(design, *model);
+        const auto report = lint::lint_design(design, model);
+        const auto& st = report.stats;
+        EXPECT_EQ((std::array<std::size_t, 4>{st.x_outputs_checked, st.x_proved_structural,
+                                              st.x_proved_exhaustive, st.x_lanes_simulated}),
+                  want.stats);
+        std::vector<std::string> flagged;
+        for (const auto& f : report.findings)
+            if (f.check == lint::check::kXSensitive) flagged.push_back(f.where + " / " + f.object);
+        EXPECT_EQ(flagged, want.unproved);
+        if (model == &lying) EXPECT_FALSE(flagged.empty());
+    }
 }
 
 // ---------------------------------------------------------------------------

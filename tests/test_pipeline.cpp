@@ -1,6 +1,7 @@
 // Tests for the staged Pipeline API: stage ordering, run-from/stop-after
 // selection, artifact-cache hit/miss behaviour, diagnostics propagation,
-// and sweep determinism across thread counts.
+// the verify stage's contract with its SAT rung on, and sweep determinism
+// across thread counts.
 #include "core/pipeline.hpp"
 
 #include <gtest/gtest.h>
@@ -319,6 +320,95 @@ TEST(Pipeline, FailingVerifyStagePropagatesDiagnostics) {
               std::string::npos);
     // And the classic view reflects the failure.
     EXPECT_FALSE(ctx.to_flow_result().verification.ok());
+}
+
+FlowConfig sat_config() {
+    FlowConfig cfg = small_config();
+    cfg.verify_sat = true;
+    return cfg;
+}
+
+std::vector<std::string> verify_notes(const CompileContext& ctx) {
+    std::vector<std::string> notes;
+    for (const auto& d : ctx.diagnostics)
+        if (d.stage == StageKind::kVerify && d.severity == core::Diagnostic::Severity::kNote)
+            notes.push_back(d.message);
+    return notes;
+}
+
+TEST(PipelineVerify, SatRungReportsTheSameAtAnyThreadCount) {
+    const auto split = small_split();
+    std::string diagnostics_1t;
+    for (const std::size_t threads : {1u, 4u}) {
+        FlowConfig cfg = sat_config();
+        cfg.train_threads = threads;
+        const CompileContext ctx = Pipeline(cfg).run(split.train, split.test);
+        EXPECT_TRUE(ctx.ok()) << core::format_diagnostics(ctx);
+        ASSERT_TRUE(ctx.proof.has_value()) << "threads=" << threads;
+        EXPECT_TRUE(ctx.proof->equivalent) << "threads=" << threads;
+        ASSERT_GT(ctx.proof->outputs_total, 0u);
+        const std::string n = std::to_string(ctx.proof->outputs_total);
+        const std::string& detail = ctx.record(StageKind::kVerify).detail;
+        EXPECT_TRUE(detail.ends_with("; prove: " + n + "/" + n + " unsat")) << detail;
+        if (threads == 1)
+            diagnostics_1t = core::format_diagnostics(ctx);
+        else
+            EXPECT_EQ(core::format_diagnostics(ctx), diagnostics_1t);
+    }
+}
+
+TEST(PipelineVerify, SecondRunServesLintThenProofFromMemory) {
+    const auto split = small_split();
+    const auto store = std::make_shared<ArtifactStore>();
+    const CompileContext first = Pipeline(sat_config(), store).run(split.train, split.test);
+    ASSERT_TRUE(first.proof.has_value());
+    EXPECT_TRUE(verify_notes(first).empty());
+
+    const CompileContext second = Pipeline(sat_config(), store).run(split.train, split.test);
+    EXPECT_TRUE(second.ok()) << core::format_diagnostics(second);
+    ASSERT_TRUE(second.proof.has_value());
+    EXPECT_EQ(sat::prove_report_to_json(*second.proof).dump(),
+              sat::prove_report_to_json(*first.proof).dump());
+    EXPECT_EQ(verify_notes(second),
+              (std::vector<std::string>{
+                  "lint report served from artifact store (memory tier)",
+                  "proof report served from artifact store (memory tier)"}));
+}
+
+/// The default generate stage, then an assign to an undeclared net in the
+/// top module: a lint error the generated design does not otherwise have.
+class LintBreakingGenerateStage final : public core::Stage {
+public:
+    StageKind kind() const override { return StageKind::kGenerate; }
+    StageStatus run(CompileContext& ctx) const override {
+        const StageStatus status = generate_->run(ctx);
+        ctx.design->top.assigns.push_back({rtl::ref("ghost_out"), rtl::ref("ghost_in")});
+        return status;
+    }
+
+private:
+    std::unique_ptr<core::Stage> generate_ = core::make_default_stage(StageKind::kGenerate);
+};
+
+TEST(PipelineVerify, LintErrorFailsVerifyAndLeavesProofUnset) {
+    const auto split = small_split();
+    Pipeline pipeline(sat_config());
+    pipeline.set_stage(std::make_unique<LintBreakingGenerateStage>());
+    const CompileContext ctx = pipeline.run(split.train, split.test);
+
+    EXPECT_EQ(ctx.record(StageKind::kVerify).status, StageStatus::kFailed);
+    EXPECT_FALSE(ctx.proof.has_value());
+    ASSERT_TRUE(ctx.lint_report.has_value());
+    ASSERT_GT(ctx.lint_report->errors(), 0u);
+    EXPECT_EQ(ctx.record(StageKind::kVerify).detail, "lint: " + ctx.lint_report->summary());
+    // Lint's errors are the stage's only errors: no other rung reported.
+    std::size_t errors = 0;
+    for (const auto& d : ctx.diagnostics)
+        if (d.stage == StageKind::kVerify && d.severity == core::Diagnostic::Severity::kError) {
+            ++errors;
+            EXPECT_TRUE(d.message.starts_with("lint [unknown-net] ")) << d.message;
+        }
+    EXPECT_EQ(errors, ctx.lint_report->errors());
 }
 
 TEST(Pipeline, StageExceptionBecomesFailedStatusWithDiagnostic) {

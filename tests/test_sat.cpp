@@ -2,8 +2,9 @@
 //
 // Four angles: (1) the CDCL core on classic formulas - pigeonhole (UNSAT
 // with a replayable RUP trace), random 3-SAT near the phase transition
-// (every SAT model checked, every UNSAT trace verified), and the empty /
-// unit / assumption edge cases; (2) the Tseitin encoder against 64-way AIG
+// (every SAT model checked, every UNSAT trace verified, the search's stats
+// pinned), a RUP replay that never certifies a satisfiable formula, and
+// the empty / unit / assumption edge cases; (2) the Tseitin encoder against 64-way AIG
 // simulation on random networks; (3) miters - a clean design must prove
 // EQUIVALENT on every output, a netlist with one seeded PO inversion must
 // be refuted with a concretely confirmed counterexample; (4) the prove
@@ -13,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -63,12 +65,28 @@ Cnf pigeonhole(std::size_t holes) {
     return cnf;
 }
 
+/// Every SolverStats field, in declaration order.
+using StatsTuple = std::array<std::uint64_t, 6>;
+
+StatsTuple stats_tuple(const sat::SolverStats& s) {
+    return {s.decisions, s.propagations, s.conflicts,
+            s.learned_clauses, s.learned_literals, s.restarts};
+}
+
 TEST(SatSolver, PigeonholeUnsatWithCheckedTrace) {
-    for (std::size_t holes : {2, 3, 4, 5}) {
+    for (std::size_t holes : {2, 3, 4, 5, 6}) {
         Solver s(pigeonhole(holes));
         EXPECT_EQ(s.solve(), SolveResult::kUnsat) << "holes=" << holes;
         EXPECT_TRUE(s.verify_unsat()) << "holes=" << holes;
         if (holes >= 4) EXPECT_GT(s.stats().conflicts, 0u);
+        // The search itself is pinned: a storage or propagation rewrite
+        // must make the same decisions and conflicts.  A change that alters
+        // the search on purpose updates these together with
+        // kSatSubsystemVersion.
+        if (holes == 5)
+            EXPECT_EQ(stats_tuple(s.stats()), (StatsTuple{208, 1913, 165, 164, 1430, 1}));
+        if (holes == 6)
+            EXPECT_EQ(stats_tuple(s.stats()), (StatsTuple{821, 8742, 698, 697, 8796, 4}));
     }
 }
 
@@ -97,8 +115,17 @@ TEST(SatSolver, PigeonholeSatWhenPigeonsFit) {
 TEST(SatSolver, Random3SatNearThreshold) {
     // 30 variables at clause/variable ratio ~4.3: a mix of SAT and UNSAT
     // instances.  Every answer must be certified - models re-checked
-    // against the formula, UNSAT traces replayed.
+    // against the formula, UNSAT traces replayed - and every search's stats
+    // are pinned (see PigeonholeUnsatWithCheckedTrace).
     const std::size_t n = 30, m = 129;
+    const StatsTuple want[20] = {
+        {34, 289, 29, 29, 89, 0},  {45, 314, 36, 36, 146, 0}, {24, 182, 16, 16, 61, 0},
+        {12, 84, 5, 5, 22, 0},     {26, 216, 18, 18, 54, 0},  {22, 214, 20, 19, 51, 0},
+        {15, 33, 1, 1, 5, 0},      {24, 206, 21, 20, 64, 0},  {14, 53, 2, 2, 6, 0},
+        {21, 84, 6, 6, 25, 0},     {14, 106, 8, 8, 30, 0},    {17, 165, 18, 17, 59, 0},
+        {20, 209, 19, 18, 55, 0},  {26, 227, 27, 26, 88, 0},  {7, 41, 2, 2, 5, 0},
+        {20, 113, 11, 11, 44, 0},  {37, 241, 25, 25, 102, 0}, {27, 260, 24, 24, 80, 0},
+        {47, 403, 41, 40, 137, 0}, {35, 303, 30, 29, 95, 0}};
     std::size_t sat_seen = 0, unsat_seen = 0;
     for (std::uint64_t seed = 1; seed <= 20; ++seed) {
         util::Xoshiro256ss rng(seed);
@@ -117,6 +144,7 @@ TEST(SatSolver, Random3SatNearThreshold) {
         }
         Solver s(cnf);
         const auto r = s.solve();
+        EXPECT_EQ(stats_tuple(s.stats()), want[seed - 1]) << "seed=" << seed;
         if (r == SolveResult::kSat) {
             ++sat_seen;
             EXPECT_TRUE(sat::model_satisfies(cnf, s)) << "seed=" << seed;
@@ -129,6 +157,72 @@ TEST(SatSolver, Random3SatNearThreshold) {
     // Near the threshold both outcomes must actually occur.
     EXPECT_GT(sat_seen, 0u);
     EXPECT_GT(unsat_seen, 0u);
+}
+
+/// A satisfiable 3-CNF with a planted solution: 4 unit clauses, then 90
+/// ternary clauses the planted assignment satisfies.
+Cnf planted_3sat(std::uint64_t seed) {
+    const std::size_t n = 30, m = 90, units = 4;
+    util::Xoshiro256ss rng(seed);
+    std::vector<bool> x(n);
+    for (std::size_t v = 0; v < n; ++v) x[v] = rng() & 1;
+    Cnf cnf;
+    for (std::size_t v = 0; v < n; ++v) cnf.new_var();
+    for (std::size_t u = 0; u < units; ++u) {
+        const Var v = Var(rng() % n);
+        cnf.unit(mk_lit(v, !x[v]));
+    }
+    while (cnf.clauses.size() < units + m) {
+        Var v[3];
+        for (auto& vi : v) vi = Var(rng() % n);
+        if (v[0] == v[1] || v[0] == v[2] || v[1] == v[2]) continue;
+        std::vector<Lit> c;
+        bool satisfied = false;
+        for (const Var vi : v) {
+            const bool negated = rng() & 1;
+            c.push_back(mk_lit(vi, negated));
+            satisfied = satisfied || x[vi] != negated;
+        }
+        if (satisfied) cnf.add(c);
+    }
+    return cnf;
+}
+
+TEST(SatSolver, RupReplayStandsOnItsOwn) {
+    // The replay must not lean on solve()'s root propagation having
+    // reordered the watches.  A clause whose first two literals are false
+    // at the root is a unit when exactly one other literal is free, and
+    // neither a unit nor a conflict when two are.
+    Cnf small;
+    const Var a = small.new_var(), b = small.new_var(), c = small.new_var(),
+              d = small.new_var();
+    small.unit(mk_lit(a, true));                                          // ~a
+    small.ternary(mk_lit(a, false), mk_lit(b, false), mk_lit(c, false));  // a | b | c
+    small.binary(mk_lit(b, true), mk_lit(d, false));                      // ~b | d
+    small.binary(mk_lit(b, true), mk_lit(d, true));                       // ~b | ~d
+
+    // Sound: never certifies a satisfiable formula, before or after solve().
+    std::vector<std::pair<std::string, Cnf>> formulas{{"small", small}};
+    for (std::uint64_t seed = 1; seed <= 200; ++seed)
+        formulas.emplace_back("planted seed=" + std::to_string(seed), planted_3sat(seed));
+    for (const auto& [name, cnf] : formulas) {
+        Solver s(cnf);
+        EXPECT_FALSE(s.verify_unsat()) << name << ", before solve()";
+        ASSERT_EQ(s.solve(), SolveResult::kSat) << name;
+        EXPECT_TRUE(sat::model_satisfies(cnf, s)) << name;
+        EXPECT_FALSE(s.verify_unsat()) << name << ", after solve()";
+    }
+
+    // Complete: with ~b as well, a | b | c forces c, and c refutes the
+    // formula by unit propagation alone - no solve() needed.
+    Cnf refuted = small;
+    refuted.unit(mk_lit(b, true));
+    refuted.binary(mk_lit(c, true), mk_lit(d, false));  // ~c | d
+    refuted.binary(mk_lit(c, true), mk_lit(d, true));   // ~c | ~d
+    Solver s(refuted);
+    EXPECT_TRUE(s.verify_unsat()) << "before solve()";
+    EXPECT_EQ(s.solve(), SolveResult::kUnsat);
+    EXPECT_TRUE(s.verify_unsat()) << "after solve()";
 }
 
 TEST(SatSolver, EmptyClauseIsUnsat) {
@@ -290,6 +384,39 @@ rtl::RtlDesign generate(const model::TrainedModel& m, bool strash,
     model::ArchOptions opts;
     opts.bus_width = bus_width;
     return rtl::generate_rtl(m, model::derive_architecture(m, opts), strash);
+}
+
+TEST(SatProve, TemplateCopySolvesLikeAFreshSolver) {
+    // The prover loads each HCB's miter CNF into one solver and copies it
+    // per output.  The copy must search exactly as a solver built from the
+    // CNF would, on UNSAT (clean) and SAT (inverted PO) outputs alike.
+    const auto m = random_model(16, 2, 4, 0.25, 42);
+    auto design = generate(m, /*strash=*/true, /*bus_width=*/8);
+    auto& last = design.hcbs.back().aig;
+    ASSERT_GT(last.num_pos(), 0u);
+    last.set_po(0, logic::lit_not(last.po(0)));
+    std::size_t sat_seen = 0, unsat_seen = 0;
+    for (std::size_t h = 0; h < design.hcbs.size(); ++h) {
+        const auto miter = sat::build_hcb_miter(design.hcbs[h], m);
+        const auto enc = sat::encode_aig(miter.aig);
+        const Solver tmpl(enc.cnf);
+        for (std::size_t o = 0; o < enc.po_lits.size(); ++o) {
+            Solver copy = tmpl;
+            Solver fresh(enc.cnf);
+            const auto r = copy.solve({enc.po_lits[o]});
+            EXPECT_EQ(r, fresh.solve({enc.po_lits[o]})) << "hcb " << h << " po " << o;
+            EXPECT_EQ(stats_tuple(copy.stats()), stats_tuple(fresh.stats()))
+                << "hcb " << h << " po " << o;
+            if (r == SolveResult::kUnsat) {
+                ++unsat_seen;
+                EXPECT_TRUE(copy.verify_unsat()) << "hcb " << h << " po " << o;
+            } else {
+                ++sat_seen;
+            }
+        }
+    }
+    EXPECT_GT(sat_seen, 0u);
+    EXPECT_GT(unsat_seen, 0u);
 }
 
 TEST(SatProve, CleanDesignProvesEquivalent) {
