@@ -17,20 +17,21 @@
 #include "rtl/hcb_builder.hpp"
 #include "sim/accelerator_sim.hpp"
 #include "tm/tsetlin_machine.hpp"
+#include "train/parallel_trainer.hpp"
 #include "util/rng.hpp"
 
 namespace {
 
 using namespace matador;
 
-model::TrainedModel train(const data::Dataset& ds, std::size_t cpc) {
+model::TrainedModel train_model(const data::Dataset& ds, std::size_t cpc) {
     tm::TmConfig cfg;
     cfg.clauses_per_class = cpc;
     cfg.threshold = 15;
     cfg.specificity = 4.0;
     cfg.seed = 42;
     tm::TsetlinMachine machine(cfg, ds.num_features, ds.num_classes);
-    machine.fit(ds, 4);
+    train::ParallelTrainer({.epochs = 4}).fit(machine, ds);
     return machine.export_model();
 }
 
@@ -51,7 +52,7 @@ int main() {
     std::puts("=== Ablation A: throughput is bandwidth-driven ===");
     std::printf("%-6s %-9s %-12s %-14s %-12s\n", "bus", "packets", "meas. II",
                 "thrpt@50MHz", "f/packets");
-    const auto m = train(ds, 50);
+    const auto m = train_model(ds, 50);
     for (std::size_t bus : {8u, 16u, 32u, 64u}) {
         model::ArchOptions o;
         o.bus_width = bus;
@@ -88,7 +89,7 @@ int main() {
     std::printf("%-10s %-12s %-12s %-9s\n", "clauses", "LUT-opt", "LUT-dt",
                 "saving");
     for (std::size_t cpc : {25u, 50u, 100u, 200u}) {
-        const auto mc = train(ds, cpc);
+        const auto mc = train_model(ds, cpc);
         const model::PacketPlan plan(mc.num_features(), 64);
         std::size_t opt = 0, dt = 0;
         for (const auto& h : rtl::build_hcbs(mc, plan, true))
@@ -104,7 +105,7 @@ int main() {
     std::printf("%-10s %-8s %-8s %-11s %-12s %-10s\n", "clauses", "live",
                 "unique", "cancelled", "chain-regs", "equal?");
     for (std::size_t cpc : {50u, 100u, 200u}) {
-        const auto mc = train(ds, cpc);
+        const auto mc = train_model(ds, cpc);
         model::DedupStats st;
         const auto wm = model::deduplicate_clauses(mc, &st);
         // Spot-check exact vote equivalence on random inputs.

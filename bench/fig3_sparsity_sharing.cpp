@@ -16,6 +16,7 @@
 #include "bench_common.hpp"
 #include "model/sharing_analysis.hpp"
 #include "tm/tsetlin_machine.hpp"
+#include "train/parallel_trainer.hpp"
 
 int main(int argc, char** argv) {
     using namespace matador;
@@ -31,7 +32,7 @@ int main(int argc, char** argv) {
         cfg.specificity = w.tm_specificity;
         cfg.seed = 42;
         tm::TsetlinMachine machine(cfg, ds.num_features, ds.num_classes);
-        machine.fit(ds, w.tm_epochs);
+        train::ParallelTrainer({.epochs = w.tm_epochs}).fit(machine, ds);
         const auto m = machine.export_model();
 
         const auto sp = model::analyze_sparsity(m);

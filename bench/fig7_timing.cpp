@@ -11,6 +11,7 @@
 #include "data/synthetic.hpp"
 #include "sim/accelerator_sim.hpp"
 #include "tm/tsetlin_machine.hpp"
+#include "train/parallel_trainer.hpp"
 #include "util/string_utils.hpp"
 
 int main() {
@@ -25,7 +26,7 @@ int main() {
     cfg.threshold = 15;
     cfg.seed = 42;
     tm::TsetlinMachine machine(cfg, ds.num_features, ds.num_classes);
-    machine.fit(ds, 3);
+    train::ParallelTrainer({.epochs = 3}).fit(machine, ds);
     const auto m = machine.export_model();
 
     const auto arch = model::derive_architecture(m, {});

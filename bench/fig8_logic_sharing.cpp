@@ -17,6 +17,7 @@
 #include "model/architecture.hpp"
 #include "rtl/hcb_builder.hpp"
 #include "tm/tsetlin_machine.hpp"
+#include "train/parallel_trainer.hpp"
 
 int main(int argc, char** argv) {
     using namespace matador;
@@ -33,7 +34,7 @@ int main(int argc, char** argv) {
     cfg.specificity = 5.0;
     cfg.seed = 42;
     tm::TsetlinMachine machine(cfg, ds.num_features, ds.num_classes);
-    machine.fit(ds, 5);
+    train::ParallelTrainer({.epochs = 5}).fit(machine, ds);
     const auto m = machine.export_model();
 
     const model::PacketPlan plan(m.num_features(), 64);

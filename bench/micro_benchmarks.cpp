@@ -12,6 +12,7 @@
 #include "rtl/verilog_writer.hpp"
 #include "sim/accelerator_sim.hpp"
 #include "tm/tsetlin_machine.hpp"
+#include "train/parallel_trainer.hpp"
 
 namespace {
 
@@ -22,14 +23,14 @@ const data::Dataset& mnist_small() {
     return ds;
 }
 
-tm::TsetlinMachine& trained_tm() {
-    static tm::TsetlinMachine machine = [] {
+const tm::TsetlinMachine& trained_tm() {
+    static const tm::TsetlinMachine machine = [] {
         tm::TmConfig cfg;
         cfg.clauses_per_class = 100;
         cfg.threshold = 20;
         cfg.seed = 42;
         tm::TsetlinMachine m(cfg, 784, 10);
-        m.fit(mnist_small(), 2);
+        train::ParallelTrainer({.epochs = 2}).fit(m, mnist_small());
         return m;
     }();
     return machine;
@@ -59,18 +60,6 @@ void BM_TmClassSums(benchmark::State& state) {
                             int64_t(machine.clauses_per_class()));
 }
 BENCHMARK(BM_TmClassSums);
-
-void BM_TmTrainExample(benchmark::State& state) {
-    auto& machine = trained_tm();
-    const auto& ds = mnist_small();
-    std::size_t i = 0;
-    for (auto _ : state) {
-        machine.train_example(ds.examples[i % ds.size()], ds.labels[i % ds.size()]);
-        ++i;
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_TmTrainExample);
 
 void BM_Packetize(benchmark::State& state) {
     const model::Packetizer p{model::PacketPlan(784, 64)};

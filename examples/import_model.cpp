@@ -16,6 +16,7 @@
 #include "core/report.hpp"
 #include "data/synthetic.hpp"
 #include "tm/tsetlin_machine.hpp"
+#include "train/parallel_trainer.hpp"
 
 int main() {
     using namespace matador;
@@ -63,7 +64,7 @@ int main() {
     tm::TsetlinMachine machine(cfg.tm, ds.num_features, ds.num_classes);
     machine.import_model(loaded);
     const double before = machine.evaluate(split.test);
-    machine.fit(split.train, 5);
+    train::ParallelTrainer({.epochs = 5}).fit(machine, split.train);
     const double after = machine.evaluate(split.test);
     std::printf("fine-tuning from import: %.2f%% -> %.2f%% test accuracy\n",
                 100.0 * before, 100.0 * after);

@@ -1,4 +1,5 @@
-// MatadorFlow: the end-to-end automation pipeline (Fig. 6).
+// The flow's user-facing knobs (FlowConfig) and its one-shot result
+// (FlowResult) for the end-to-end automation pipeline (Fig. 6).
 //
 // The GUI of the paper drives exactly these stages; here they are a library
 // API (the examples and benches are the "GUI"):
@@ -14,11 +15,10 @@
 //                     (the auto-debug flow),
 //   6. report       - Table-I-style resource/power/latency/throughput row.
 //
-// MatadorFlow is now a thin compatibility shim over the staged Pipeline API
-// in pipeline.hpp, which exposes each stage as a named pass with status,
-// diagnostics, per-stage timing, run-from/stop-after selection, artifact
-// caching, and a multi-threaded sweep driver (sweep.hpp).  New code should
-// prefer core::Pipeline.
+// core::Pipeline (pipeline.hpp) runs them: each stage is a named pass with
+// status, diagnostics, per-stage timing, run-from/stop-after selection,
+// artifact caching, and a multi-threaded sweep driver (sweep.hpp).
+// `Pipeline(cfg).run(train, test).to_flow_result()` is the one-shot form.
 #pragma once
 
 #include <cstdint>
@@ -30,7 +30,6 @@
 #include "cost/power_model.hpp"
 #include "cost/resource_model.hpp"
 #include "cost/timing_model.hpp"
-#include "data/dataset.hpp"
 #include "model/architecture.hpp"
 #include "model/sharing_analysis.hpp"
 #include "model/trained_model.hpp"
@@ -105,27 +104,6 @@ struct FlowResult {
     double throughput_inf_per_s = 0.0;
 
     std::vector<std::string> rtl_files;  ///< when rtl_output_dir was set
-};
-
-/// The classic one-shot flow driver (compatibility shim over core::Pipeline).
-class MatadorFlow {
-public:
-    explicit MatadorFlow(FlowConfig cfg) : cfg_(std::move(cfg)) {}
-
-    const FlowConfig& config() const { return cfg_; }
-
-    /// Full pipeline: train on `train`, evaluate on `test`, then
-    /// architect / generate / verify / measure.
-    FlowResult run(const data::Dataset& train, const data::Dataset& test) const;
-
-    /// The yellow import flow: skip training, start from an existing model.
-    /// `test` (optional) supplies the accuracy column and seeds the
-    /// system-level streaming check (random vectors otherwise).
-    FlowResult run_with_model(const model::TrainedModel& m,
-                              const data::Dataset* test) const;
-
-private:
-    FlowConfig cfg_;
 };
 
 }  // namespace matador::core

@@ -13,8 +13,6 @@
 // single-flight memory tier and an optional on-disk tier (cache_dir).
 // `Pipeline::sweep` (see sweep.hpp) fans a FlowConfig grid across worker
 // threads sharing one store.
-//
-// `MatadorFlow` in flow.hpp remains as a thin compatibility shim over this.
 #pragma once
 
 #include <array>

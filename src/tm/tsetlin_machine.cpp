@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <numeric>
 #include <stdexcept>
 
 namespace matador::tm {
@@ -17,8 +16,7 @@ TsetlinMachine::TsetlinMachine(TmConfig cfg, std::size_t num_features,
     : cfg_(cfg),
       num_features_(num_features),
       num_classes_(num_classes),
-      num_literals_(2 * num_features),
-      rng_(cfg.seed) {
+      num_literals_(2 * num_features) {
     if (num_features == 0) throw std::invalid_argument("TsetlinMachine: 0 features");
     if (num_classes == 0) throw std::invalid_argument("TsetlinMachine: 0 classes");
     if (cfg.clauses_per_class == 0)
@@ -34,8 +32,6 @@ TsetlinMachine::TsetlinMachine(TmConfig cfg, std::size_t num_features,
     const std::size_t total_clauses = num_classes_ * cfg_.clauses_per_class;
     state_.assign(total_clauses * kStateBits * words_, 0);
     include_.assign(total_clauses * words_, 0);
-    scratch_.assign(words_, 0);
-    fb_scratch_ = make_scratch();
 
     // Initial state: kIncludeThreshold - 1 (all low planes set, MSB clear):
     // every automaton sits just below the include boundary.
@@ -125,8 +121,7 @@ void TsetlinMachine::refresh_include(std::size_t fc) {
     std::memcpy(include(fc), plane(fc, kStateBits - 1), words_ * sizeof(std::uint64_t));
 }
 
-template <class Rng>
-std::uint64_t TsetlinMachine::rare_word(Rng& rng) const {
+std::uint64_t TsetlinMachine::rare_word(util::KeyedRng& rng) const {
     if (cfg_.feedback == FeedbackMode::kFastPow2)
         return rng.bernoulli_word_pow2(pow2_k_);
     return rng.bernoulli_word_exact(1.0 / cfg_.specificity);
@@ -136,9 +131,8 @@ int TsetlinMachine::clamp_sum(int v) const {
     return std::clamp(v, -cfg_.threshold, cfg_.threshold);
 }
 
-template <class Rng>
 void TsetlinMachine::type_i_feedback(std::size_t fc, const std::uint64_t* literals,
-                                     Rng& rng, FeedbackScratch& scratch) {
+                                     util::KeyedRng& rng, FeedbackScratch& scratch) {
     if (clause_output_train(fc, literals)) {
         // Clause fired: reinforce the pattern.  True literals march toward
         // include (optionally damped by (s-1)/s), false literals erode
@@ -178,10 +172,11 @@ int TsetlinMachine::class_vote_train(std::size_t cls,
     return v;
 }
 
-template <class Rng>
-void TsetlinMachine::train_class_impl(std::size_t cls, bool is_target,
-                                      const std::uint64_t* literals, Rng& rng,
-                                      FeedbackScratch& scratch) {
+void TsetlinMachine::train_class(std::size_t cls, bool is_target,
+                                 const std::uint64_t* literals,
+                                 util::KeyedRng& rng, FeedbackScratch& scratch) {
+    if (cls >= num_classes_)
+        throw std::out_of_range("TsetlinMachine::train_class: class index");
     const std::size_t q = cfg_.clauses_per_class;
     const double two_t = 2.0 * double(cfg_.threshold);
     const int v = clamp_sum(class_vote_train(cls, literals));
@@ -199,52 +194,11 @@ void TsetlinMachine::train_class_impl(std::size_t cls, bool is_target,
     }
 }
 
-void TsetlinMachine::train_class(std::size_t cls, bool is_target,
-                                 const std::uint64_t* literals,
-                                 util::KeyedRng& rng, FeedbackScratch& scratch) {
-    if (cls >= num_classes_)
-        throw std::out_of_range("TsetlinMachine::train_class: class index");
-    train_class_impl(cls, is_target, literals, rng, scratch);
-}
-
-void TsetlinMachine::train_example(const util::BitVector& x, std::uint32_t target) {
-    if (x.size() != num_features_)
-        throw std::invalid_argument("TsetlinMachine::train_example: feature mismatch");
-    build_literals(x, scratch_.data());
-
-    // Target class: Type I to +polarity clauses, Type II to -polarity.
-    train_class_impl(target, /*is_target=*/true, scratch_.data(), rng_, fb_scratch_);
-
-    // One sampled negative class, mirrored feedback.
-    if (num_classes_ > 1) {
-        std::size_t neg = rng_.below(num_classes_ - 1);
-        if (neg >= target) ++neg;
-        train_class_impl(neg, /*is_target=*/false, scratch_.data(), rng_, fb_scratch_);
-    }
-}
-
-void TsetlinMachine::train_epoch(const data::Dataset& ds) {
-    if (ds.num_features != num_features_)
-        throw std::invalid_argument("TsetlinMachine::train_epoch: feature mismatch");
-    for (std::size_t i = 0; i < ds.size(); ++i)
-        train_example(ds.examples[i], ds.labels[i]);
-}
-
-void TsetlinMachine::fit(const data::Dataset& ds, std::size_t epochs) {
-    std::vector<std::size_t> order(ds.size());
-    std::iota(order.begin(), order.end(), 0);
-    for (std::size_t e = 0; e < epochs; ++e) {
-        for (std::size_t i = order.size(); i > 1; --i)
-            std::swap(order[i - 1], order[rng_.below(i)]);
-        for (auto i : order) train_example(ds.examples[i], ds.labels[i]);
-    }
-}
-
 std::vector<int> TsetlinMachine::class_sums(const util::BitVector& x) const {
     if (x.size() != num_features_)
         throw std::invalid_argument("TsetlinMachine::class_sums: feature mismatch");
-    // Caller-owned literals, not the shared train-path scratch_: a const
-    // method writing shared scratch would corrupt concurrent predictions.
+    // A local literal buffer: a const method writing shared scratch would
+    // corrupt concurrent predictions.
     std::vector<std::uint64_t> literals(words_);
     build_literals(x, literals.data());
     std::vector<int> sums(num_classes_, 0);
@@ -261,23 +215,6 @@ std::uint32_t TsetlinMachine::predict(const util::BitVector& x) const {
     std::size_t best = 0;
     for (std::size_t c = 1; c < sums.size(); ++c)
         if (sums[c] > sums[best]) best = c;
-    return std::uint32_t(best);
-}
-
-std::uint32_t TsetlinMachine::predict_literals(const std::uint64_t* literals) const {
-    const std::size_t q = cfg_.clauses_per_class;
-    std::size_t best = 0;
-    int best_sum = 0;
-    for (std::size_t c = 0; c < num_classes_; ++c) {
-        int sum = 0;
-        for (std::size_t j = 0; j < q; ++j)
-            if (clause_output_infer(clause_base(c, j), literals))
-                sum += (j % 2 == 0) ? +1 : -1;
-        if (c == 0 || sum > best_sum) {
-            best = c;
-            best_sum = sum;
-        }
-    }
     return std::uint32_t(best);
 }
 

@@ -1,4 +1,4 @@
-// Multiclass Tsetlin Machine: training and inference (Granmo 2018).
+// Multiclass Tsetlin Machine: training kernels and inference (Granmo 2018).
 //
 // This is the "offline training" stage of the MATADOR flow (Fig. 6).  The
 // implementation is bit-sliced for speed: the 8-bit state counter of every
@@ -16,17 +16,15 @@
 // draw or from the hardware-style 2^-k AND-mask approximation used by the
 // FPGA TM training lineage the paper builds on (refs [20], [21]).
 //
-// Two training surfaces share the feedback kernels:
-//   * the classic sequential API (fit / train_epoch / train_example) with a
-//     single shared xoshiro stream - kept bit-compatible with earlier
-//     releases;
-//   * a class-scoped API (build_literals into a caller buffer,
-//     class_vote_train, train_class, predict_literals) for the parallel
-//     trainer in src/train/: literals are built once per example and shared
-//     read-only, each call touches only one class's clause banks, all
-//     randomness comes from caller-provided KeyedRng streams, and mutable
-//     scratch is caller-owned - so concurrent calls on distinct classes are
-//     data-race free and results never depend on thread count.
+// The machine holds state, not a training loop.  Its one training surface
+// is class-scoped and driven by train::ParallelTrainer (src/train/):
+// build_literals fills a caller buffer that is then shared read-only,
+// train_class applies one example's feedback to one class's clause banks,
+// all randomness comes from caller-provided KeyedRng streams, and mutable
+// scratch is caller-owned - so concurrent calls on distinct classes are
+// data-race free and results never depend on thread count.  The scalar
+// class_sums / predict / evaluate are the inference reference the batched
+// engine (infer::BatchEngine) is tested against.
 #pragma once
 
 #include <cstdint>
@@ -66,17 +64,6 @@ public:
     std::size_t clauses_per_class() const { return cfg_.clauses_per_class; }
     const TmConfig& config() const { return cfg_; }
 
-    /// One pass over the dataset (examples visited in the stored order;
-    /// shuffle the dataset between epochs for SGD-style training).
-    void train_epoch(const data::Dataset& ds);
-
-    /// Convenience: shuffle + train for `epochs` passes (sequential path;
-    /// `train::ParallelTrainer` is the scalable, thread-invariant engine).
-    void fit(const data::Dataset& ds, std::size_t epochs);
-
-    /// Single-example online update.
-    void train_example(const util::BitVector& x, std::uint32_t target);
-
     /// Class sums with inference semantics (empty clauses vote 0).
     /// Thread-safe: works on a local literal buffer, so any number of
     /// threads may score a shared machine concurrently.
@@ -89,7 +76,7 @@ public:
     /// infer::BatchEngine is the 64-examples-per-pass engine).
     double evaluate(const data::Dataset& ds) const;
 
-    // -- class-scoped training surface (src/train/ parallel engine) --------
+    // -- class-scoped training surface (driven by train::ParallelTrainer) ---
 
     /// Words in a literal vector [x | ~x] (two word-aligned halves).
     std::size_t literal_words() const { return words_; }
@@ -108,9 +95,6 @@ public:
                 std::vector<std::uint64_t>(words_, 0)};
     }
 
-    /// Training-semantics vote of one class on prebuilt literals.
-    int class_vote_train(std::size_t cls, const std::uint64_t* literals) const;
-
     /// Apply one example's feedback to one class: the target-class half
     /// (Type I to +polarity, Type II to -polarity) when `is_target`, the
     /// mirrored negative-class half otherwise.  Touches only `cls`'s clause
@@ -119,10 +103,6 @@ public:
     /// class) to make training reproducible at any thread count.
     void train_class(std::size_t cls, bool is_target, const std::uint64_t* literals,
                      util::KeyedRng& rng, FeedbackScratch& scratch);
-
-    /// argmax prediction on prebuilt literals (inference semantics).
-    /// Thread-safe: touches no mutable state.
-    std::uint32_t predict_literals(const std::uint64_t* literals) const;
 
     /// Packed include mask of one clause (literal_words() words, bit layout
     /// of build_literals).  Read-only view for the batched inference
@@ -173,28 +153,21 @@ private:
     /// Clause output with inference semantics (empty clause outputs 0).
     bool clause_output_infer(std::size_t flat_clause,
                              const std::uint64_t* literals) const;
+    /// Training-semantics vote of one class on prebuilt literals.
+    int class_vote_train(std::size_t cls, const std::uint64_t* literals) const;
 
     /// Saturating bit-sliced state update on `flat_clause`.
     void increment(std::size_t flat_clause, const std::uint64_t* mask);
     void decrement(std::size_t flat_clause, const std::uint64_t* mask);
     void refresh_include(std::size_t flat_clause);
 
-    template <class Rng>
     void type_i_feedback(std::size_t flat_clause, const std::uint64_t* literals,
-                         Rng& rng, FeedbackScratch& scratch);
+                         util::KeyedRng& rng, FeedbackScratch& scratch);
     void type_ii_feedback(std::size_t flat_clause, const std::uint64_t* literals,
                           FeedbackScratch& scratch);
 
-    /// Shared kernel of train_example (sequential rng) and train_class
-    /// (keyed streams): one class's worth of one example's feedback.
-    template <class Rng>
-    void train_class_impl(std::size_t cls, bool is_target,
-                          const std::uint64_t* literals, Rng& rng,
-                          FeedbackScratch& scratch);
-
     /// One word of Bernoulli(1/s) bits per cfg_.feedback.
-    template <class Rng>
-    std::uint64_t rare_word(Rng& rng) const;
+    std::uint64_t rare_word(util::KeyedRng& rng) const;
 
     int clamp_sum(int v) const;
 
@@ -207,9 +180,6 @@ private:
 
     std::vector<std::uint64_t> state_;
     std::vector<std::uint64_t> include_;
-    std::vector<std::uint64_t> scratch_;  // train_example literals [x, ~x]
-    FeedbackScratch fb_scratch_;          // sequential-path masks
-    util::Xoshiro256ss rng_;
 };
 
 }  // namespace matador::tm

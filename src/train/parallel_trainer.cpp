@@ -44,12 +44,14 @@ unsigned ParallelTrainer::threads() const {
 FitReport ParallelTrainer::fit(tm::TsetlinMachine& machine,
                                const data::Dataset& train,
                                const data::Dataset* eval_set) {
+    if (eval_set && eval_set->size() == 0) eval_set = nullptr;
+    train.validate();
+    if (eval_set) eval_set->validate();
     if (train.num_features != machine.num_features())
         throw std::invalid_argument("ParallelTrainer::fit: feature mismatch");
     if (train.num_classes > machine.num_classes())
         throw std::invalid_argument(
             "ParallelTrainer::fit: dataset has more classes than the machine");
-    if (eval_set && eval_set->size() == 0) eval_set = nullptr;
     if (eval_set && eval_set->num_features != machine.num_features())
         throw std::invalid_argument("ParallelTrainer::fit: eval feature mismatch");
 
@@ -92,7 +94,7 @@ FitReport ParallelTrainer::fit(tm::TsetlinMachine& machine,
         // Compile the machine's include planes once per evaluation point,
         // then score both sets 64 examples per pass, block-sliced over the
         // worker pool.  Predictions (and hence the accuracy history) are
-        // bit-identical to the scalar predict_literals loop this replaces.
+        // bit-identical to the scalar TsetlinMachine::predict.
         TRACE_SPAN("eval-point", "train");
         const infer::BatchEngine engine(machine);
         EpochMetrics m;

@@ -1,10 +1,8 @@
-// ParallelTrainer: deterministic class-parallel Tsetlin-Machine training.
-//
-// The sequential trainer (TsetlinMachine::fit) funnels every feedback
-// decision through one shared RNG, so its result is welded to a single
-// execution order.  This engine restructures an epoch so the only data
-// dependency that remains is the real one - within a class, examples must
-// be seen in order - and everything else is free to run concurrently:
+// ParallelTrainer: deterministic class-parallel Tsetlin-Machine training,
+// the one way to train a tm::TsetlinMachine (at one thread it is the
+// sequential path).  An epoch is structured so the only data dependency
+// that remains is the real one - within a class, examples must be seen in
+// order - and everything else is free to run concurrently:
 //
 //   * literals: [x | ~x] vectors are built once per example up front and
 //     shared read-only by all workers and all epochs;
@@ -13,7 +11,7 @@
 //     sampled negative class, and each class's updates are applied by
 //     exactly one worker in epoch order - no locks, no barriers inside an
 //     epoch, disjoint writes;
-//   * randomness: stateless KeyedRng streams (util/rng.hpp) replace the
+//   * randomness: stateless KeyedRng streams (util/rng.hpp), never a
 //     shared sequential RNG - the epoch shuffle is keyed by (seed, epoch),
 //     negative-class sampling by (seed, epoch, example) so every worker
 //     derives it identically without drawing from a shared stream, and
@@ -54,7 +52,8 @@ public:
     /// the eval-accuracy column and the early-stopping metric; without it,
     /// patience tracks train accuracy.  On return the machine holds the
     /// selected model: the best evaluation snapshot when patience is
-    /// enabled, the last epoch's state otherwise.
+    /// enabled, the last epoch's state otherwise.  Both sets pass
+    /// Dataset::validate() (std::runtime_error) before any work.
     FitReport fit(tm::TsetlinMachine& machine, const data::Dataset& train,
                   const data::Dataset* eval_set = nullptr);
 

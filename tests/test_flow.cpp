@@ -1,5 +1,4 @@
-#include "core/flow.hpp"
-
+// The whole flow through core::Pipeline, read as the classic FlowResult.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -12,9 +11,14 @@ namespace {
 
 using matador::core::FlowConfig;
 using matador::core::FlowResult;
-using matador::core::MatadorFlow;
+using matador::core::Pipeline;
+using matador::data::Dataset;
 using matador::data::make_noisy_xor;
 using matador::data::train_test_split;
+
+FlowResult run_flow(const FlowConfig& cfg, const Dataset& train, const Dataset& test) {
+    return Pipeline(cfg).run(train, test).to_flow_result();
+}
 
 FlowConfig small_flow_config() {
     FlowConfig cfg;
@@ -31,8 +35,7 @@ FlowConfig small_flow_config() {
 TEST(Flow, EndToEndOnNoisyXor) {
     const auto ds = make_noisy_xor(1500, 10, 0.03, 3);
     const auto split = train_test_split(ds, 0.8, 5);
-    const MatadorFlow flow(small_flow_config());
-    const FlowResult r = flow.run(split.train, split.test);
+    const FlowResult r = run_flow(small_flow_config(), split.train, split.test);
 
     EXPECT_GT(r.test_accuracy, 0.9);
     EXPECT_TRUE(r.verification.ok()) << r.verification.first_failure;
@@ -51,12 +54,12 @@ TEST(Flow, EndToEndOnNoisyXor) {
 TEST(Flow, ImportModelFlowMatchesTrainingFlow) {
     const auto ds = make_noisy_xor(1200, 10, 0.03, 7);
     const auto split = train_test_split(ds, 0.8, 9);
-    const MatadorFlow flow(small_flow_config());
-    const FlowResult trained = flow.run(split.train, split.test);
+    const Pipeline pipeline(small_flow_config());
+    const FlowResult trained = pipeline.run(split.train, split.test).to_flow_result();
 
     // Yellow flow: feed the exported model back in.
     const FlowResult imported =
-        flow.run_with_model(trained.trained_model, &split.test);
+        pipeline.run_with_model(trained.trained_model, &split.test).to_flow_result();
     EXPECT_DOUBLE_EQ(imported.test_accuracy, trained.test_accuracy);
     EXPECT_EQ(imported.arch.latency_cycles(), trained.arch.latency_cycles());
     EXPECT_EQ(imported.resources.luts, trained.resources.luts);
@@ -70,8 +73,7 @@ TEST(Flow, RtlEmissionWritesFiles) {
     FlowConfig cfg = small_flow_config();
     cfg.rtl_output_dir = ::testing::TempDir() + "matador_flow_rtl";
     std::filesystem::remove_all(cfg.rtl_output_dir);
-    const MatadorFlow flow(cfg);
-    const FlowResult r = flow.run(split.train, split.test);
+    const FlowResult r = run_flow(cfg, split.train, split.test);
     EXPECT_FALSE(r.rtl_files.empty());
     for (const auto& f : r.rtl_files) EXPECT_TRUE(std::filesystem::exists(f));
     std::filesystem::remove_all(cfg.rtl_output_dir);
@@ -83,8 +85,8 @@ TEST(Flow, StrashReducesMappedLuts) {
     FlowConfig shared_cfg = small_flow_config();
     FlowConfig dt_cfg = small_flow_config();
     dt_cfg.strash = false;
-    const FlowResult shared = MatadorFlow(shared_cfg).run(split.train, split.test);
-    const FlowResult dt = MatadorFlow(dt_cfg).run(split.train, split.test);
+    const FlowResult shared = run_flow(shared_cfg, split.train, split.test);
+    const FlowResult dt = run_flow(dt_cfg, split.train, split.test);
     // Fig. 8's claim: the DON'T_TOUCH flow costs at least as many LUTs.
     EXPECT_LE(shared.hcb_mapped_luts, dt.hcb_mapped_luts);
     EXPECT_TRUE(dt.verification.ok());  // and still computes the same function
@@ -95,7 +97,7 @@ TEST(Flow, SkipRtlVerificationFastPath) {
     const auto split = train_test_split(ds, 0.8, 29);
     FlowConfig cfg = small_flow_config();
     cfg.skip_rtl_verification = true;
-    const FlowResult r = MatadorFlow(cfg).run(split.train, split.test);
+    const FlowResult r = run_flow(cfg, split.train, split.test);
     EXPECT_TRUE(r.system_verified);  // cycle-level check still runs
 }
 
@@ -105,35 +107,14 @@ TEST(Flow, FixedFrequencyRespected) {
     FlowConfig cfg = small_flow_config();
     cfg.auto_frequency = false;
     cfg.arch.clock_mhz = 100.0;
-    const FlowResult r = MatadorFlow(cfg).run(split.train, split.test);
+    const FlowResult r = run_flow(cfg, split.train, split.test);
     EXPECT_DOUBLE_EQ(r.arch.options.clock_mhz, 100.0);
-}
-
-TEST(Flow, CompatShimMatchesStagedPipeline) {
-    // MatadorFlow is a shim over core::Pipeline; both entry points must
-    // produce the same FlowResult as driving the pipeline directly.
-    const auto ds = make_noisy_xor(900, 10, 0.03, 47);
-    const auto split = train_test_split(ds, 0.8, 53);
-    const FlowConfig cfg = small_flow_config();
-
-    const FlowResult shim = MatadorFlow(cfg).run(split.train, split.test);
-    const FlowResult staged =
-        matador::core::Pipeline(cfg).run(split.train, split.test).to_flow_result();
-
-    EXPECT_DOUBLE_EQ(shim.train_accuracy, staged.train_accuracy);
-    EXPECT_DOUBLE_EQ(shim.test_accuracy, staged.test_accuracy);
-    EXPECT_EQ(shim.hcb_mapped_luts, staged.hcb_mapped_luts);
-    EXPECT_EQ(shim.resources.luts, staged.resources.luts);
-    EXPECT_EQ(shim.arch.latency_cycles(), staged.arch.latency_cycles());
-    EXPECT_DOUBLE_EQ(shim.arch.options.clock_mhz, staged.arch.options.clock_mhz);
-    EXPECT_EQ(shim.measured_latency_cycles, staged.measured_latency_cycles);
-    EXPECT_EQ(shim.trained_model, staged.trained_model);
 }
 
 TEST(Report, TableRowAndFormatting) {
     const auto ds = make_noisy_xor(800, 6, 0.05, 41);
     const auto split = train_test_split(ds, 0.8, 43);
-    const FlowResult r = MatadorFlow(small_flow_config()).run(split.train, split.test);
+    const FlowResult r = run_flow(small_flow_config(), split.train, split.test);
 
     const auto row = matador::core::to_table_row(r, "MATADOR");
     EXPECT_EQ(row.luts, r.resources.luts);

@@ -166,7 +166,7 @@ TEST(BatchEngine, CompiledFromLiveMachineMatchesExportedModel) {
     cfg.clauses_per_class = 16;
     cfg.seed = 9;
     tm::TsetlinMachine machine(cfg, ds.num_features, ds.num_classes);
-    machine.fit(ds, 2);
+    train::ParallelTrainer({.epochs = 2}).fit(machine, ds);
 
     const BatchEngine from_machine(machine);
     const BatchEngine from_model(machine.export_model());
@@ -198,7 +198,7 @@ TEST(BatchEngine, AccuracyLiteralsMatchesDatasetPath) {
     tm::TmConfig cfg;
     cfg.clauses_per_class = 12;
     tm::TsetlinMachine machine(cfg, ds.num_features, ds.num_classes);
-    machine.fit(ds, 2);
+    train::ParallelTrainer({.epochs = 2}).fit(machine, ds);
     const BatchEngine engine(machine);
 
     const std::size_t words = machine.literal_words();
@@ -273,7 +273,7 @@ TEST(TsetlinMachine, ConcurrentPredictIsRaceFree) {
     tm::TmConfig cfg;
     cfg.clauses_per_class = 10;
     tm::TsetlinMachine machine(cfg, ds.num_features, ds.num_classes);
-    machine.fit(ds, 2);
+    train::ParallelTrainer({.epochs = 2}).fit(machine, ds);
 
     std::vector<std::uint32_t> reference(ds.size());
     for (std::size_t i = 0; i < ds.size(); ++i)

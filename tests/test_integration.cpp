@@ -6,7 +6,7 @@
 
 #include <sstream>
 
-#include "core/flow.hpp"
+#include "core/pipeline.hpp"
 #include "core/report.hpp"
 #include "data/synthetic.hpp"
 #include "logic/aig_simulate.hpp"
@@ -19,6 +19,7 @@
 #include "rtl/verilog_writer.hpp"
 #include "sim/accelerator_sim.hpp"
 #include "tm/tsetlin_machine.hpp"
+#include "train/parallel_trainer.hpp"
 
 namespace {
 
@@ -37,7 +38,7 @@ model::TrainedModel train_audio_model(std::size_t cpc, std::size_t epochs) {
     cfg.threshold = 10;
     cfg.seed = 71;
     tm::TsetlinMachine machine(cfg, ds.num_features, ds.num_classes);
-    machine.fit(ds, epochs);
+    train::ParallelTrainer({.epochs = epochs}).fit(machine, ds);
     return machine.export_model();
 }
 
@@ -178,7 +179,7 @@ TEST(Integration, FullFlowOnImageLikeData) {
     cfg.arch.bus_width = 16;
     cfg.verify_vectors = 8;
     cfg.sim_datapoints = 10;
-    const auto r = core::MatadorFlow(cfg).run(split.train, split.test);
+    const auto r = core::Pipeline(cfg).run(split.train, split.test).to_flow_result();
     EXPECT_GT(r.test_accuracy, 0.8);
     EXPECT_TRUE(r.verification.ok()) << r.verification.first_failure;
     EXPECT_TRUE(r.system_verified);

@@ -4,6 +4,7 @@
 
 #include "data/synthetic.hpp"
 #include "tm/tsetlin_machine.hpp"
+#include "train/parallel_trainer.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -70,7 +71,7 @@ TEST(Dedup, TrainedModelEquivalence) {
     cfg.threshold = 10;
     cfg.seed = 5;
     matador::tm::TsetlinMachine machine(cfg, ds.num_features, 2);
-    machine.fit(ds, 8);
+    matador::train::ParallelTrainer({.epochs = 8}).fit(machine, ds);
     const auto m = machine.export_model();
 
     DedupStats st;

@@ -4,6 +4,7 @@
 
 #include "data/synthetic.hpp"
 #include "tm/tsetlin_machine.hpp"
+#include "train/parallel_trainer.hpp"
 
 namespace {
 
@@ -28,7 +29,7 @@ TrainedModel trained_model(std::size_t features, std::size_t classes,
     cfg.threshold = 8;
     cfg.seed = seed;
     matador::tm::TsetlinMachine tm(cfg, ds.num_features, classes);
-    tm.fit(ds, 5);
+    matador::train::ParallelTrainer({.epochs = 5}).fit(tm, ds);
     return tm.export_model();
 }
 

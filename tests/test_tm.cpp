@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "data/synthetic.hpp"
+#include "train/parallel_trainer.hpp"
 
 namespace {
 
@@ -14,6 +15,7 @@ using matador::model::TrainedModel;
 using matador::tm::FeedbackMode;
 using matador::tm::TmConfig;
 using matador::tm::TsetlinMachine;
+using matador::train::ParallelTrainer;
 using matador::util::BitVector;
 
 TmConfig small_config(std::size_t cpc = 20) {
@@ -23,6 +25,19 @@ TmConfig small_config(std::size_t cpc = 20) {
     c.specificity = 3.9;
     c.seed = 42;
     return c;
+}
+
+void fit(TsetlinMachine& tm, const Dataset& ds, std::size_t epochs) {
+    ParallelTrainer({.epochs = epochs}).fit(tm, ds);
+}
+
+/// A dataset of one example, to drive the feedback kernels on one input.
+Dataset single_example(const BitVector& x, std::uint32_t label) {
+    Dataset ds;
+    ds.num_features = x.size();
+    ds.num_classes = 2;
+    ds.add(x, label);
+    return ds;
 }
 
 TEST(TsetlinMachine, ConstructorValidation) {
@@ -58,7 +73,7 @@ TEST(TsetlinMachine, LearnsNoisyXor) {
     const Dataset ds = make_noisy_xor(3000, 4, 0.02, 7);
     const auto split = train_test_split(ds, 0.8, 3);
     TsetlinMachine tm(small_config(20), ds.num_features, 2);
-    tm.fit(split.train, 15);
+    fit(tm, split.train, 15);
     EXPECT_GT(tm.evaluate(split.test), 0.93)
         << "TM failed to learn the XOR structure";
 }
@@ -67,7 +82,7 @@ TEST(TsetlinMachine, LearnsIrisLike) {
     const Dataset ds = make_iris_like(120, 4, 11);
     const auto split = train_test_split(ds, 0.8, 5);
     TsetlinMachine tm(small_config(30), ds.num_features, 3);
-    tm.fit(split.train, 15);
+    fit(tm, split.train, 15);
     EXPECT_GT(tm.evaluate(split.test), 0.85);
 }
 
@@ -77,7 +92,7 @@ TEST(TsetlinMachine, ExactFeedbackModeAlsoLearns) {
     TmConfig cfg = small_config(16);
     cfg.feedback = FeedbackMode::kExact;
     TsetlinMachine tm(cfg, ds.num_features, 2);
-    tm.fit(split.train, 12);
+    fit(tm, split.train, 12);
     EXPECT_GT(tm.evaluate(split.test), 0.9);
 }
 
@@ -85,15 +100,15 @@ TEST(TsetlinMachine, TrainingIsDeterministicForSeed) {
     const Dataset ds = make_noisy_xor(500, 2, 0.05, 13);
     TsetlinMachine a(small_config(8), ds.num_features, 2);
     TsetlinMachine b(small_config(8), ds.num_features, 2);
-    a.fit(ds, 3);
-    b.fit(ds, 3);
+    fit(a, ds, 3);
+    fit(b, ds, 3);
     EXPECT_EQ(a.export_model(), b.export_model());
 }
 
 TEST(TsetlinMachine, TaStatesStayInRange) {
     const Dataset ds = make_noisy_xor(1000, 2, 0.1, 17);
     TsetlinMachine tm(small_config(8), ds.num_features, 2);
-    tm.fit(ds, 5);
+    fit(tm, ds, 5);
     for (std::size_t c = 0; c < 2; ++c)
         for (std::size_t j = 0; j < 8; ++j)
             for (std::size_t l = 0; l < 2 * ds.num_features; ++l)
@@ -112,7 +127,7 @@ TEST(TsetlinMachine, ExportModelShape) {
 TEST(TsetlinMachine, ExportedModelMatchesMachinePredictions) {
     const Dataset ds = make_noisy_xor(1500, 6, 0.05, 19);
     TsetlinMachine tm(small_config(16), ds.num_features, 2);
-    tm.fit(ds, 8);
+    fit(tm, ds, 8);
     const TrainedModel m = tm.export_model();
     for (std::size_t i = 0; i < 100; ++i) {
         EXPECT_EQ(m.class_sums(ds.examples[i]), tm.class_sums(ds.examples[i]));
@@ -123,7 +138,7 @@ TEST(TsetlinMachine, ExportedModelMatchesMachinePredictions) {
 TEST(TsetlinMachine, ImportExportRoundTrip) {
     const Dataset ds = make_noisy_xor(800, 4, 0.05, 23);
     TsetlinMachine tm(small_config(10), ds.num_features, 2);
-    tm.fit(ds, 5);
+    fit(tm, ds, 5);
     const TrainedModel m = tm.export_model();
 
     TsetlinMachine fresh(small_config(10), ds.num_features, 2);
@@ -143,7 +158,7 @@ TEST(TsetlinMachine, ImportRejectsShapeMismatch) {
 TEST(TsetlinMachine, TrainedModelIsSparse) {
     const Dataset ds = make_noisy_xor(2000, 10, 0.02, 29);
     TsetlinMachine tm(small_config(20), ds.num_features, 2);
-    tm.fit(ds, 10);
+    fit(tm, ds, 10);
     const TrainedModel m = tm.export_model();
     // The Fig. 3 claim: include density stays low.
     EXPECT_LT(m.include_density(), 0.35);
@@ -152,12 +167,14 @@ TEST(TsetlinMachine, TrainedModelIsSparse) {
 
 TEST(TsetlinMachine, FeatureMismatchThrows) {
     TsetlinMachine tm(small_config(4), 16, 2);
-    EXPECT_THROW(tm.train_example(BitVector(8), 0), std::invalid_argument);
+    std::vector<std::uint64_t> literals(tm.literal_words());
+    EXPECT_THROW(tm.build_literals(BitVector(8), literals.data()),
+                 std::invalid_argument);
     EXPECT_THROW(tm.class_sums(BitVector(8)), std::invalid_argument);
     Dataset ds;
     ds.num_features = 8;
     ds.num_classes = 2;
-    EXPECT_THROW(tm.train_epoch(ds), std::invalid_argument);
+    EXPECT_THROW(ParallelTrainer().fit(tm, ds), std::invalid_argument);
 }
 
 TEST(TsetlinMachine, TaStateAccessorBounds) {
@@ -184,7 +201,7 @@ TEST(TsetlinMachine, TypeIIFeedbackRejectsWrongFires) {
     x.set(0);  // x0 = 1, everything else 0
     // Train with target class 0 repeatedly: class 1 is the only possible
     // sampled negative, so its + clause receives Type II feedback.
-    for (int i = 0; i < 64; ++i) tm.train_example(x, 0);
+    fit(tm, single_example(x, 0), 64);
 
     // Excluded false literals of the offending clause must have moved up.
     bool any_increase = false;
@@ -205,7 +222,7 @@ TEST(TsetlinMachine, TypeIFeedbackReinforcesTruePattern) {
     BitVector x(8);
     x.set(2);
     x.set(5);
-    for (int i = 0; i < 200; ++i) tm.train_example(x, 0);
+    fit(tm, single_example(x, 0), 200);
 
     // Class 0's + clause (clause 0) sees Type I with output 1: true
     // literals (x2, x5 and negated literals of the low features) climb
@@ -234,7 +251,7 @@ TEST(TsetlinMachine, NonWordAlignedFeatureCountsTrain) {
     p.seed = 31;
     const Dataset ds = matador::data::make_image_like(p);
     TsetlinMachine tm(small_config(16), 70, 2);
-    tm.fit(ds, 8);
+    fit(tm, ds, 8);
     EXPECT_GT(tm.evaluate(ds), 0.9);
     // No automaton beyond the feature range may become included: verify by
     // exporting (export only reads valid positions) and checking includes

@@ -188,6 +188,57 @@ TEST(ParallelTrainer, RejectsMismatchedDatasets) {
     TsetlinMachine machine(small_config(), ds.num_features + 1, ds.num_classes);
     ParallelTrainer trainer;
     EXPECT_THROW(trainer.fit(machine, ds), std::invalid_argument);
+
+    // Broken datasets are rejected before any work, through
+    // Dataset::validate(): a label no class owns would train silently, and
+    // a short labels vector would be read past its end.
+    const Dataset xor_ds = matador::data::make_noisy_xor(200, 4, 0.02, 7);
+    TsetlinMachine xor_machine(small_config(), xor_ds.num_features, 2);
+    Dataset bad_label = xor_ds;
+    bad_label.labels[0] = 7;
+    EXPECT_THROW(trainer.fit(xor_machine, bad_label), std::runtime_error);
+    Dataset short_labels = xor_ds;
+    short_labels.labels.pop_back();
+    EXPECT_THROW(trainer.fit(xor_machine, short_labels), std::runtime_error);
+    EXPECT_THROW(trainer.fit(xor_machine, xor_ds, &bad_label), std::runtime_error);
+}
+
+// Pins the trained bytes across commits: the thread-invariance tests only
+// compare thread counts with each other, so a refactor that changes the
+// model identically at every thread count would pass them.  The values
+// are recorded content_hash() results; a change that means to keep
+// training as it is keeps them.
+TEST(ParallelTrainer, ModelHashesMatchRecordedValues) {
+    const auto hash_of = [](const Dataset& train, TmConfig cfg, FitOptions opts,
+                            const Dataset* eval_set = nullptr) {
+        TsetlinMachine machine(cfg, train.num_features, train.num_classes);
+        ParallelTrainer(opts).fit(machine, train, eval_set);
+        return machine.export_model().content_hash();
+    };
+
+    const Dataset kws = matador::data::make_kws6_like(40, 15);
+    EXPECT_EQ(hash_of(kws, small_config(), {.epochs = 3, .threads = 4}),
+              0x13ae0ccfd88dd5e1u);
+    TmConfig exact = small_config();
+    exact.feedback = matador::tm::FeedbackMode::kExact;
+    exact.boost_true_positive = false;
+    EXPECT_EQ(hash_of(kws, exact, {.epochs = 3, .threads = 2}), 0x75919731c22dc5c4u);
+
+    matador::data::ImageLikeParams p;
+    p.width = 10;
+    p.height = 7;
+    p.num_classes = 3;
+    p.examples_per_class = 60;
+    p.seed = 31;
+    const auto split = train_test_split(matador::data::make_image_like(p), 0.8, 3);
+    EXPECT_EQ(hash_of(split.train, small_config(),
+                      {.epochs = 6, .threads = 1, .eval_every = 1, .patience = 1},
+                      &split.test),
+              0xe264cda6b2923ba1u);
+
+    const Dataset mnist = matador::data::make_mnist_like(30, 11);
+    EXPECT_EQ(hash_of(mnist, small_config(), {.epochs = 2, .threads = 4}),
+              0x4a956cd735de80c2u);
 }
 
 // ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@
 #include "model/architecture.hpp"
 #include "sim/accelerator_sim.hpp"
 #include "tm/tsetlin_machine.hpp"
+#include "train/parallel_trainer.hpp"
 
 namespace {
 
@@ -90,7 +91,7 @@ TEST(VcdWriter, SimulatorIntegration) {
     cfg.threshold = 6;
     cfg.seed = 9;
     matador::tm::TsetlinMachine machine(cfg, ds.num_features, 2);
-    machine.fit(ds, 3);
+    matador::train::ParallelTrainer({.epochs = 3}).fit(machine, ds);
     const auto m = machine.export_model();
 
     matador::model::ArchOptions o;

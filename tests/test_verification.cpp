@@ -5,6 +5,7 @@
 #include "data/synthetic.hpp"
 #include "model/architecture.hpp"
 #include "tm/tsetlin_machine.hpp"
+#include "train/parallel_trainer.hpp"
 
 namespace {
 
@@ -21,7 +22,7 @@ TrainedModel trained_small_model() {
     cfg.specificity = 3.5;
     cfg.seed = 17;
     matador::tm::TsetlinMachine tm(cfg, ds.num_features, 2);
-    tm.fit(ds, 6);
+    matador::train::ParallelTrainer({.epochs = 6}).fit(tm, ds);
     return tm.export_model();
 }
 
