@@ -10,6 +10,7 @@
 //   4. continues on-device-style fine-tuning from the imported model via
 //      TsetlinMachine::import_model.
 #include <cstdio>
+#include <filesystem>
 #include <iostream>
 
 #include "core/pipeline.hpp"
@@ -36,7 +37,8 @@ int main() {
     // 1. "External" training + save.
     const core::Pipeline pipeline(cfg);
     const auto trained = pipeline.run(split.train, split.test).to_flow_result();
-    const std::string path = "./iris_model.tm";
+    const std::string path =
+        (std::filesystem::temp_directory_path() / "matador_iris_model.tm").string();
     trained.trained_model.save_file(path);
     std::printf("saved model to %s (%zu includes, density %.3f%%)\n", path.c_str(),
                 trained.trained_model.total_includes(),
@@ -46,6 +48,7 @@ int main() {
     const auto loaded = model::TrainedModel::load_file(path);
     std::printf("reloaded: identical to saved model: %s\n",
                 loaded == trained.trained_model ? "yes" : "NO");
+    std::filesystem::remove(path);
 
     // 3. Import flow: the train stage sees the supplied model and skips
     //    training (it reports status "skipped" in the stage table).

@@ -62,8 +62,11 @@ std::string format_flow_summary(const FlowResult& r, const std::string& title) {
     os << "=== MATADOR flow summary: " << title << " ===\n";
     os << "model: " << r.arch.input_bits << " input bits, " << r.arch.num_classes
        << " classes, " << r.arch.clauses_per_class << " clauses/class\n";
-    os << "accuracy: train " << format_double(r.train_accuracy * 100, 2)
-       << "%  test " << format_double(r.test_accuracy * 100, 2) << "%\n";
+    // An imported model has no train set and no train report.
+    os << "accuracy: train "
+       << (r.train_stop_reason.empty() ? "n/a (imported)"
+                                       : format_double(r.train_accuracy * 100, 2) + "%")
+       << "  test " << format_double(r.test_accuracy * 100, 2) << "%\n";
     os << "sparsity: include density " << format_double(r.sparsity.include_density * 100, 3)
        << "%  (" << r.sparsity.total_includes << " includes, "
        << r.sparsity.empty_clauses << " empty clauses of " << r.sparsity.total_clauses

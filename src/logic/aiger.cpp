@@ -91,6 +91,9 @@ public:
         }
     }
 
+    /// Bytes not yet read.
+    std::size_t remaining() const { return data_.size() - pos_; }
+
     [[noreturn]] void fail(const std::string& what) const {
         throw std::runtime_error("aiger parse error at offset " +
                                  std::to_string(pos_) + ": " + what);
@@ -125,6 +128,14 @@ Header read_header(Cursor& c) {
     c.newline();
     if (h.l != 0) c.fail("latches are not supported");
     if (std::uint64_t(h.i) + h.a > h.m) c.fail("header M smaller than I + A");
+    // The reader sizes its tables from these counts, so bound them before
+    // anything is allocated.  Every line, and every binary AND (two
+    // varints), takes at least 2 bytes; binary inputs take none, so M (and
+    // with M = I + A, binary I) has an explicit cap.
+    if (h.m > kAigerMaxVariables) c.fail("header M exceeds the variable limit");
+    if (h.binary && h.m != std::uint64_t(h.i) + h.a) c.fail("binary header needs M = I + A");
+    const std::uint64_t lines = std::uint64_t(h.binary ? 0 : h.i) + h.o + h.a;
+    if (lines > c.remaining() / 2) c.fail("header counts exceed the document size");
     return h;
 }
 

@@ -18,6 +18,7 @@
 // smaller, equivalent AIG.
 #pragma once
 
+#include <cstdint>
 #include <string>
 
 #include "logic/aig.hpp"
@@ -31,9 +32,18 @@ std::string write_aiger_binary(const Aig& aig);
 /// Write by extension: ".aag" => ascii, anything else => binary.
 void write_aiger_file(const Aig& aig, const std::string& path);
 
+/// Largest header M read_aiger accepts (in the binary format M = I + A,
+/// so this caps binary inputs too, which take no bytes in the file).  The
+/// whole-design miter of the flow-mnist reference model has M = 28,061;
+/// this is about 150 times that, and importing that many inputs peaks
+/// at about 270 MB.
+inline constexpr std::uint32_t kAigerMaxVariables = 1u << 22;
+
 /// Parse an AIGER document (either format, sniffed from the magic).
 /// Throws std::runtime_error with a position on malformed input, future
-/// features (latches), or undefined literals.
+/// features (latches), undefined literals, or header counts that the
+/// document's size cannot hold or that exceed kAigerMaxVariables - all
+/// checked before any table is sized from them.
 Aig read_aiger(const std::string& data);
 Aig read_aiger_file(const std::string& path);
 

@@ -164,10 +164,15 @@ void TsetlinMachine::type_ii_feedback(std::size_t fc, const std::uint64_t* liter
 
 int TsetlinMachine::class_vote_train(std::size_t cls,
                                      const std::uint64_t* literals) const {
+    // No early exit at the first violated word: whether a clause fires
+    // depends on the data, so that branch mispredicts about once per
+    // clause, and ORing every word costs less.
     int v = 0;
     for (std::size_t j = 0; j < cfg_.clauses_per_class; ++j) {
-        const std::size_t fc = clause_base(cls, j);
-        if (clause_output_train(fc, literals)) v += (j % 2 == 0) ? +1 : -1;
+        const std::uint64_t* inc = include(clause_base(cls, j));
+        std::uint64_t viol = 0;
+        for (std::size_t w = 0; w < words_; ++w) viol |= inc[w] & ~literals[w];
+        v += int(viol == 0) * ((j % 2 == 0) ? +1 : -1);
     }
     return v;
 }
@@ -233,10 +238,9 @@ model::TrainedModel TsetlinMachine::export_model() const {
         for (std::size_t j = 0; j < cfg_.clauses_per_class; ++j) {
             const std::uint64_t* inc = include(clause_base(c, j));
             auto& cl = m.clause(c, j);
-            for (std::size_t f = 0; f < num_features_; ++f) {
-                const std::size_t w = f / kWordBits, b = f % kWordBits;
-                if ((inc[w] >> b) & 1u) cl.include_pos.set(f);
-                if ((inc[half_words + w] >> b) & 1u) cl.include_neg.set(f);
+            for (std::size_t w = 0; w < half_words; ++w) {
+                cl.include_pos.set_word(w, inc[w]);
+                cl.include_neg.set_word(w, inc[half_words + w]);
             }
             cl.polarity = (j % 2 == 0) ? +1 : -1;
         }

@@ -1,5 +1,7 @@
 #include "train/parallel_trainer.hpp"
 
+#include <algorithm>
+#include <atomic>
 #include <numeric>
 #include <optional>
 #include <stdexcept>
@@ -16,6 +18,12 @@ namespace {
 constexpr std::uint64_t kShuffleStream = 1;   // (epoch)           epoch shuffle
 constexpr std::uint64_t kNegativeStream = 2;  // (epoch, example)  negative class
 constexpr std::uint64_t kFeedbackStream = 3;  // (epoch, example, class)
+
+// Positions of the shuffled order per (segment, class) task.  Long enough
+// that a class's clause bank stays in cache for a whole task and hand-offs
+// are rare; short enough that 10 classes give 4 workers many more tasks
+// than workers.  512-2048 measured alike; it never changes the model.
+constexpr std::size_t kSegmentLength = 1024;
 
 }  // namespace
 
@@ -77,12 +85,16 @@ FitReport ParallelTrainer::fit(tm::TsetlinMachine& machine,
     const std::vector<std::uint64_t> eval_lits =
         eval_set ? build_matrix(*eval_set) : std::vector<std::uint64_t>{};
 
-    // Per-worker mutable state: feedback mask scratch only.
+    // Per-worker mutable state: feedback mask scratch only.  Workers beyond
+    // the class count would only wait, so they get none and return at once.
+    const unsigned active_workers = unsigned(std::min<std::size_t>(workers, num_classes));
     std::vector<tm::TsetlinMachine::FeedbackScratch> scratch;
-    scratch.reserve(workers);
-    for (unsigned w = 0; w < workers; ++w) scratch.push_back(machine.make_scratch());
+    scratch.reserve(active_workers);
+    for (unsigned w = 0; w < active_workers; ++w) scratch.push_back(machine.make_scratch());
 
     std::vector<std::size_t> order(n);
+    std::vector<std::uint32_t> negative(n);  // negative class per position of `order`
+    const std::size_t tasks = (n + kSegmentLength - 1) / kSegmentLength * num_classes;
 
     FitReport report;
     report.threads_used = workers;
@@ -128,31 +140,85 @@ FitReport ParallelTrainer::fit(tm::TsetlinMachine& machine,
         util::KeyedRng shuffle_rng(seed, kShuffleStream, epoch);
         for (std::size_t i = n; i > 1; --i)
             std::swap(order[i - 1], order[shuffle_rng.below(i)]);
+        for (std::size_t pos = 0; pos < n; ++pos) {
+            const std::size_t ex = order[pos];
+            const std::uint32_t target = train.labels[ex];
+            std::uint32_t neg = target;  // one class: no negative feedback
+            if (num_classes > 1) {
+                util::KeyedRng neg_rng(seed, kNegativeStream, epoch, ex);
+                neg = std::uint32_t(neg_rng.below(num_classes - 1));
+                if (neg >= target) ++neg;
+            }
+            negative[pos] = neg;
+        }
 
+        // Workers claim (segment, class) tasks, numbered segment-major, from
+        // one counter.  A class still trains on its examples in epoch order:
+        // a task starts only once done[class] (segments of that class
+        // finished this epoch) reaches its segment.  The task it waits for
+        // has a lower number, so it is already claimed, and the lowest
+        // unfinished task can always run.  A task that throws sets
+        // done[class] to kReleased: that class's later tasks are skipped and
+        // its waiters return instead of hanging, while every other claimed
+        // task still runs, so no wait is left without a publish.
+        constexpr std::uint32_t kReleased = ~std::uint32_t{0};
+        std::atomic<std::size_t> next_task{0};
+        std::vector<std::atomic<std::uint32_t>> done(num_classes);
         pool_->run([&](unsigned w) {
-            const auto [c0, c1] = worker_slice(num_classes, w, workers);
-            if (c0 == c1) return;
-            auto& masks = scratch[w];
-            for (std::size_t pos = 0; pos < n; ++pos) {
-                const std::size_t ex = order[pos];
-                const std::uint32_t target = train.labels[ex];
-                const std::uint64_t* lits = train_lits.data() + ex * words;
-                // Every worker derives the same negative class from the
-                // per-example stream; only the owner applies the feedback.
-                std::size_t neg = target;
-                if (num_classes > 1) {
-                    util::KeyedRng neg_rng(seed, kNegativeStream, epoch, ex);
-                    neg = neg_rng.below(num_classes - 1);
-                    if (neg >= target) ++neg;
+            if (w >= active_workers) return;
+            auto& rec = obs::TraceRecorder::instance();
+            for (;;) {
+                const std::size_t t = next_task.fetch_add(1, std::memory_order_relaxed);
+                if (t >= tasks) return;
+                const std::uint32_t seg = std::uint32_t(t / num_classes);
+                const std::uint32_t cls = std::uint32_t(t % num_classes);
+
+                std::uint32_t finished = done[cls].load(std::memory_order_acquire);
+                if (finished < seg) {
+                    const std::uint64_t wait_start = obs::now_ns();
+                    do {
+                        done[cls].wait(finished, std::memory_order_acquire);
+                        finished = done[cls].load(std::memory_order_acquire);
+                    } while (finished < seg);
+                    if (rec.enabled()) {
+                        util::Json args = util::Json::object();
+                        args.set("class", double(cls));
+                        args.set("segment", double(seg));
+                        rec.complete("train-wait", "train", wait_start,
+                                     obs::now_ns() - wait_start, std::move(args));
+                    }
                 }
-                if (target >= c0 && target < c1) {
-                    util::KeyedRng rng(seed, kFeedbackStream, epoch, ex, target);
-                    machine.train_class(target, /*is_target=*/true, lits, rng, masks);
+                if (finished == kReleased) return;
+
+                try {
+                    obs::SpanGuard span("train-segment", "train");
+                    const std::size_t first = std::size_t(seg) * kSegmentLength;
+                    const std::size_t last = std::min(n, first + kSegmentLength);
+                    std::size_t trained = 0;
+                    for (std::size_t pos = first; pos < last; ++pos) {
+                        const std::size_t ex = order[pos];
+                        const bool is_target = train.labels[ex] == cls;
+                        if (!is_target && negative[pos] != cls) continue;
+                        util::KeyedRng rng(seed, kFeedbackStream, epoch, ex, cls);
+                        machine.train_class(cls, is_target, train_lits.data() + ex * words,
+                                            rng, scratch[w]);
+                        ++trained;
+                    }
+                    if (rec.enabled()) {
+                        util::Json args = util::Json::object();
+                        args.set("class", double(cls));
+                        args.set("segment", double(seg));
+                        args.set("examples", double(trained));
+                        span.set_args(std::move(args));
+                    }
+                    span.close();  // before the hand-off: a class's spans never overlap
+                } catch (...) {
+                    done[cls].store(kReleased, std::memory_order_release);
+                    done[cls].notify_all();
+                    throw;
                 }
-                if (num_classes > 1 && neg >= c0 && neg < c1) {
-                    util::KeyedRng rng(seed, kFeedbackStream, epoch, ex, neg);
-                    machine.train_class(neg, /*is_target=*/false, lits, rng, masks);
-                }
+                done[cls].store(seg + 1, std::memory_order_release);
+                done[cls].notify_all();
             }
         });
         report.epochs_run = epoch + 1;

@@ -6,11 +6,14 @@
 //
 //   * literals: [x | ~x] vectors are built once per example up front and
 //     shared read-only by all workers and all epochs;
-//   * classes:  each worker owns a contiguous slice of per-class clause
-//     banks; example i's feedback touches only the target class and one
-//     sampled negative class, and each class's updates are applied by
-//     exactly one worker in epoch order - no locks, no barriers inside an
-//     epoch, disjoint writes;
+//   * classes:  example i's feedback touches only its target class and one
+//     sampled negative class.  An epoch cuts the shuffled order into
+//     segments of 1024 positions, and workers claim (segment, class) tasks,
+//     segment-major, from one atomic counter.  A task starts only after the
+//     same class's previous segment has published its completion (release
+//     store, acquire load), so each class applies its updates in epoch
+//     order while busy workers never sit idle behind a fixed slice of
+//     classes - no locks, no barriers inside an epoch, disjoint writes;
 //   * randomness: stateless KeyedRng streams (util/rng.hpp), never a
 //     shared sequential RNG - the epoch shuffle is keyed by (seed, epoch),
 //     negative-class sampling by (seed, epoch, example) so every worker

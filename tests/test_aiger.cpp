@@ -174,6 +174,12 @@ TEST(Aiger, MalformedDocumentsAreRejected) {
         "aag 2 1 0 0 1\n3\n4 2 2\n", // odd input literal
         "aag 2 1 0 0 1\n2\n2 4 4\n", // AND redefines an input
         "aag 2 1 0 1 1\n2\n4\n4 6 2\n",  // AND reads an undefined literal
+        // Header counts the document cannot hold, rejected before the
+        // reader sizes its tables from them (each asked for gigabytes).
+        "aag 4294967295 0 0 0 0\n",           // M beyond the variable limit
+        "aig 4294967295 4294967295 0 0 0\n",  // binary inputs beyond it
+        "aag 3 0 0 4294967295 0\n",           // more outputs than bytes left
+        "aig 3 1 0 0 1\n\x02\x01",            // binary M != I + A
     };
     for (const auto* doc : bad)
         EXPECT_THROW(logic::read_aiger(doc), std::runtime_error) << doc;

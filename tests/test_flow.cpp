@@ -6,12 +6,15 @@
 #include "core/pipeline.hpp"
 #include "core/report.hpp"
 #include "data/synthetic.hpp"
+#include "util/string_utils.hpp"
 
 namespace {
 
 using matador::core::FlowConfig;
 using matador::core::FlowResult;
 using matador::core::Pipeline;
+using matador::core::format_flow_summary;
+using matador::util::format_double;
 using matador::data::Dataset;
 using matador::data::make_noisy_xor;
 using matador::data::train_test_split;
@@ -65,6 +68,17 @@ TEST(Flow, ImportModelFlowMatchesTrainingFlow) {
     EXPECT_EQ(imported.resources.luts, trained.resources.luts);
     EXPECT_TRUE(imported.verification.ok());
     EXPECT_TRUE(imported.system_verified);
+
+    // The import flow has no train set, so it has no train accuracy to show.
+    const std::string trained_summary = format_flow_summary(trained, "trained");
+    const std::string imported_summary = format_flow_summary(imported, "imported");
+    EXPECT_NE(trained_summary.find("accuracy: train " +
+                                   format_double(trained.train_accuracy * 100, 2) + "%"),
+              std::string::npos)
+        << trained_summary;
+    EXPECT_NE(imported_summary.find("accuracy: train n/a (imported)  test "),
+              std::string::npos)
+        << imported_summary;
 }
 
 TEST(Flow, RtlEmissionWritesFiles) {

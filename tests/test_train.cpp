@@ -6,12 +6,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <map>
 #include <set>
 #include <stdexcept>
 
 #include "data/synthetic.hpp"
+#include "obs/trace.hpp"
 #include "train/worker_pool.hpp"
+#include "util/json.hpp"
 
 namespace {
 
@@ -24,6 +28,7 @@ using matador::train::FitReport;
 using matador::train::ParallelTrainer;
 using matador::train::StopReason;
 using matador::train::WorkerPool;
+using matador::util::Json;
 
 TmConfig small_config(std::size_t cpc = 20) {
     TmConfig c;
@@ -67,6 +72,87 @@ TEST(ParallelTrainer, ThreadInvarianceAcceptance) {
     const std::uint64_t h8 = train_hash(8);
     EXPECT_EQ(h1, h2);
     EXPECT_EQ(h1, h8);
+}
+
+std::uint64_t fit_hash(const Dataset& ds, unsigned threads, std::size_t epochs) {
+    TsetlinMachine machine(small_config(), ds.num_features, ds.num_classes);
+    ParallelTrainer({.epochs = epochs, .threads = threads}).fit(machine, ds);
+    return machine.export_model().content_hash();
+}
+
+// An epoch trains in segments of 1024 positions of the shuffled order; a
+// class's next segment may run on another worker only after the previous
+// one is published.  3 full segments and a partial one per epoch.
+TEST(ParallelTrainer, ThreadInvarianceAcrossSegments) {
+    const Dataset ds = ten_class_dataset(350);
+    ASSERT_EQ(ds.size(), 3500u);
+    const std::uint64_t h1 = fit_hash(ds, 1, 2);
+    for (const unsigned threads : {2u, 3u, 4u, 8u})
+        EXPECT_EQ(fit_hash(ds, threads, 2), h1) << threads << " threads";
+}
+
+TEST(ParallelTrainer, ThreadInvarianceAtSegmentEdges) {
+    const Dataset full = ten_class_dataset(103);
+    for (const std::size_t size : {std::size_t{1}, std::size_t{1024}, std::size_t{1025}}) {
+        Dataset ds = full;
+        ds.examples.resize(size);
+        ds.labels.resize(size);
+        EXPECT_EQ(fit_hash(ds, 4, 2), fit_hash(ds, 1, 2)) << size << " examples";
+    }
+}
+
+// Each (segment, class) task is one `train-segment` span, closed before the
+// class's next segment may start, so per class the spans run one after
+// another in epoch order even when they land on different workers.
+TEST(ParallelTrainer, SegmentSpansRunInClassOrder) {
+#ifdef MATADOR_OBS_NO_TRACING
+    GTEST_SKIP() << "tracing compiled out";
+#endif
+    const Dataset ds = ten_class_dataset(350);
+    const std::size_t epochs = 2, segments = 4;  // 3500 examples
+    auto& rec = matador::obs::TraceRecorder::instance();
+    rec.reset();
+    rec.enable();
+    TsetlinMachine machine(small_config(), ds.num_features, ds.num_classes);
+    ParallelTrainer({.epochs = epochs, .threads = 4}).fit(machine, ds);
+    rec.disable();
+    const Json doc = rec.to_json();
+    rec.reset();
+
+    struct Span {
+        double start, end, segment, examples;
+    };
+    std::map<double, std::vector<Span>> by_class;
+    std::size_t count = 0;
+    for (const Json& ev : doc.at("traceEvents").as_array()) {
+        if (ev.at("ph").as_string() != "X" || ev.at("name").as_string() != "train-segment")
+            continue;
+        ++count;
+        const Json& args = ev.at("args");
+        const double start = ev.at("ts").as_double();
+        by_class[args.at("class").as_double()].push_back(
+            {start, start + ev.at("dur").as_double(), args.at("segment").as_double(),
+             args.at("examples").as_double()});
+    }
+    EXPECT_EQ(count, epochs * segments * ds.num_classes);
+    ASSERT_EQ(by_class.size(), ds.num_classes);
+
+    double class_examples = 0.0;
+    for (auto& [cls, spans] : by_class) {
+        ASSERT_EQ(spans.size(), epochs * segments) << "class " << cls;
+        std::sort(spans.begin(), spans.end(),
+                  [](const Span& a, const Span& b) { return a.start < b.start; });
+        for (std::size_t i = 0; i < spans.size(); ++i) {
+            EXPECT_EQ(spans[i].segment, double(i % segments)) << "class " << cls;
+            // Timestamps are whole nanoseconds in microsecond doubles.
+            if (i > 0) {
+                EXPECT_GE(spans[i].start + 1e-3, spans[i - 1].end) << "class " << cls;
+            }
+            class_examples += spans[i].examples;
+        }
+    }
+    // Every example trains its target class and one negative class.
+    EXPECT_EQ(class_examples, double(epochs * 2 * ds.size()));
 }
 
 TEST(ParallelTrainer, ThreadInvarianceWithEarlyStopping) {

@@ -1,7 +1,7 @@
-// End-to-end test of `matador train`'s determinism contract: the built CLI
+// End-to-end tests of `matador train`'s determinism contract: the built CLI
 // (its path comes from CMake as MATADOR_CLI_PATH) is spawned as a child
-// process at one and at four trainer threads, with early stopping on, and
-// the two exported model files must be byte-identical.
+// process, and the exported model files must be byte-identical at one and
+// at four trainer threads, and with and without tracing.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "cli_child.hpp"
+#include "util/json.hpp"
 
 namespace fs = std::filesystem;
 
@@ -36,6 +37,38 @@ TEST(TrainCli, ModelFileIsIdenticalAtOneAndFourThreads) {
     const std::string t4 = train("4");
     EXPECT_FALSE(t1.empty());
     EXPECT_EQ(t1, t4);
+    fs::remove_all(dir);
+}
+
+// Tracing must never perturb training.  The set is 3,570 training examples
+// of 6 classes, so an epoch spans 4 segments and hands classes between
+// workers.
+TEST(TrainCli, TracedModelIsIdenticalToUntraced) {
+    const fs::path dir = fs::temp_directory_path() /
+                         ("matador_train_cli_trace_" + std::to_string(getpid()));
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    const auto train = [&](const std::string& name, std::vector<std::string> extra) {
+        const std::string model = (dir / (name + ".tm")).string();
+        std::vector<std::string> args = {
+            "train", "--dataset", "kws6-like", "--examples", "700",
+            "--clauses_per_class", "20", "--epochs", "2", "--train-threads", "4",
+            "--model-out", model};
+        args.insert(args.end(), extra.begin(), extra.end());
+        EXPECT_EQ(run(args), 0);
+        return read_file(model);
+    };
+    const fs::path trace = dir / "trace.json";
+    const std::string plain = train("plain", {});
+    const std::string traced = train("traced", {"--trace-out", trace.string()});
+    EXPECT_FALSE(plain.empty());
+    EXPECT_EQ(plain, traced);
+
+    const auto doc = matador::util::Json::parse(read_file(trace));
+    std::size_t segment_spans = 0;
+    for (const auto& ev : doc.at("traceEvents").as_array())
+        segment_spans += ev.at("name").as_string() == "train-segment";
+    EXPECT_GT(segment_spans, 0u);
     fs::remove_all(dir);
 }
 
