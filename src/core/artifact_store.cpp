@@ -3,20 +3,20 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 
 #include "fault/fault.hpp"
+#include "logic/aiger.hpp"
 #include "obs/metrics.hpp"
-#include "rtl/generators.hpp"
-#include "rtl/verilog_parser.hpp"
-#include "rtl/verilog_writer.hpp"
 #include "util/crc32.hpp"
 #include "util/fsio.hpp"
+#include "util/json.hpp"
 
 namespace fs = std::filesystem;
 
@@ -95,180 +95,118 @@ const char* tier_name(ArtifactTier t) {
 }
 
 // ---------------------------------------------------------------------------
-// Manifest helpers
+// The entry codec: manifest + named payload files
 // ---------------------------------------------------------------------------
 
 namespace {
 
-// v1: key/value lines + "end" trailer.
-// v2: adds "crc <file> <hex>" lines — a CRC-32 over every payload file in
-//     the entry (model.tm, hcb_*.v, report.json), verified on load so
-//     silent payload corruption degrades to recompute + repair exactly
-//     like a corrupt manifest.  v1 entries (no crc lines) still load.
-constexpr unsigned kManifestVersion = 2;
+using util::Json;
+
+// A manifest is, line by line:
+//   MATADOR-ARTIFACT v3
+//   stage <stage>
+//   key <hash16>
+//   crc <file> <crc32 hex>     one per payload file
+//   end
+// Nothing else reads or writes this syntax.  Entries of any other version
+// are recomputed and rewritten, never read.
+constexpr unsigned kManifestVersion = 3;
+constexpr const char* kManifestMagic = "MATADOR-ARTIFACT v";
 constexpr const char* kManifestName = "manifest.txt";
+
+/// An entry's payload files: name -> bytes.
+using Payloads = std::map<std::string, std::string>;
 
 void warn_at(const ArtifactStore::WarnFn& warn, const std::string& msg) {
     if (warn) warn(msg);
 }
 
-std::string fmt_double(double v) {
-    // Hexfloat: exact binary round-trip through strtod.
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%a", v);
-    return buf;
+fs::path entry_dir(const std::string& dir, const char* stage, std::uint64_t key) {
+    return fs::path(dir) / stage / key_hex(key);
 }
 
-bool parse_double(const std::string& s, double* out) {
-    char* end = nullptr;
-    const double v = std::strtod(s.c_str(), &end);
-    if (end == s.c_str() || *end != '\0') return false;
-    *out = v;
-    return true;
+/// A payload name must stay inside its entry directory.
+bool is_payload_name(const std::string& name) {
+    return !name.empty() && name != "." && name != ".." && name != kManifestName &&
+           name.find('/') == std::string::npos;
 }
 
-/// Parsed "key value..." manifest lines, in order, between the version
-/// header and the "end" trailer.
-struct Manifest {
-    std::vector<std::pair<std::string, std::string>> lines;
-
-    const std::string* find(const std::string& key) const {
-        for (const auto& [k, v] : lines)
-            if (k == key) return &v;
-        return nullptr;
-    }
-};
-
-/// Read and validate a manifest.  Returns nullopt (with a warning) on a
-/// missing / truncated / corrupt / future-version file.
-std::optional<Manifest> read_manifest(const fs::path& path, const char* stage_name,
-                                      std::uint64_t key,
-                                      const ArtifactStore::WarnFn& warn) {
-    std::ifstream in(path);
-    if (!in) return std::nullopt;  // no entry; not worth a warning
-    const std::string where = path.string();
-
-    std::string line;
-    if (!std::getline(in, line)) {
-        warn_at(warn, "artifact store: empty manifest " + where + "; recomputing");
-        return std::nullopt;
-    }
-    const std::string magic = "MATADOR-ARTIFACT v";
-    if (line.rfind(magic, 0) != 0) {
-        warn_at(warn, "artifact store: bad manifest header in " + where +
-                          "; recomputing");
-        return std::nullopt;
-    }
-    unsigned version = 0;
-    try {
-        version = unsigned(std::stoul(line.substr(magic.size())));
-    } catch (...) {
-        version = 0;
-    }
-    if (version == 0 || version > kManifestVersion) {
-        warn_at(warn, "artifact store: manifest " + where + " has format v" +
-                          line.substr(magic.size()) +
-                          " (this build reads up to v" +
-                          std::to_string(kManifestVersion) + "); recomputing");
-        return std::nullopt;
-    }
-
-    Manifest m;
-    bool ended = false;
-    while (std::getline(in, line)) {
-        if (line == "end") {
-            ended = true;
-            break;
-        }
-        const auto sp = line.find(' ');
-        if (sp == std::string::npos || sp == 0) {
-            warn_at(warn, "artifact store: corrupt manifest line in " + where +
-                              ": '" + line + "'; recomputing");
-            return std::nullopt;
-        }
-        m.lines.emplace_back(line.substr(0, sp), line.substr(sp + 1));
-    }
-    if (!ended) {
-        warn_at(warn, "artifact store: truncated manifest " + where +
-                          " (missing 'end'); recomputing");
-        return std::nullopt;
-    }
-
-    const std::string* stage = m.find("stage");
-    const std::string* k = m.find("key");
-    if (!stage || *stage != stage_name || !k || *k != key_hex(key)) {
-        warn_at(warn, "artifact store: manifest " + where +
-                          " does not match its entry (stage/key mismatch); "
-                          "recomputing");
-        return std::nullopt;
-    }
-    return m;
+std::string manifest_text(const char* stage, std::uint64_t key,
+                          const Payloads& payloads) {
+    std::string m = kManifestMagic + std::to_string(kManifestVersion) + "\n";
+    m += "stage " + std::string(stage) + "\n";
+    m += "key " + key_hex(key) + "\n";
+    for (const auto& [name, bytes] : payloads)
+        m += "crc " + name + " " + util::crc32_hex(util::crc32(bytes)) + "\n";
+    return m + "end\n";
 }
 
-/// "crc <file> <hex>" manifest line for payload bytes already in memory.
-std::string crc_line(const std::string& file, const std::string& bytes) {
-    return "crc " + file + " " + util::crc32_hex(util::crc32(bytes)) + "\n";
-}
+/// Read an entry's payloads, checking the manifest's version, stage and
+/// key and every payload's CRC before any payload is decoded.  nullopt
+/// when the entry has no manifest; throws on anything wrong.
+std::optional<Payloads> read_entry(const fs::path& entry, const char* stage,
+                                   std::uint64_t key) {
+    std::ifstream in(entry / kManifestName, std::ios::binary);
+    if (!in) return std::nullopt;
+    std::vector<std::string> lines;
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+    const auto fail = [&](const std::string& what) {
+        throw std::runtime_error(what + " in " + (entry / kManifestName).string());
+    };
 
-/// Same, for a payload that was streamed to disk (e.g. model.tm).
-std::string crc_line_of_file(const fs::path& path) {
-    return crc_line(path.filename().string(), util::read_file(path.string()));
-}
+    const std::string version = std::to_string(kManifestVersion);
+    if (lines.empty() || lines[0].rfind(kManifestMagic, 0) != 0)
+        fail("bad manifest header");
+    if (lines[0] != kManifestMagic + version)
+        fail("manifest format v" + lines[0].substr(std::strlen(kManifestMagic)) +
+             " (this build reads v" + version + ")");
+    if (lines.size() < 4 || lines.back() != "end")
+        fail("truncated manifest (missing 'end')");
+    if (lines[1] != "stage " + std::string(stage) || lines[2] != "key " + key_hex(key))
+        fail("manifest does not match its entry (stage/key mismatch)");
 
-/// Verify every "crc" line of a manifest against the entry's payload
-/// bytes.  v1 manifests carry none and pass vacuously.  A mismatch (or an
-/// unreadable payload) warns, bumps artifact_crc_mismatch_total, and
-/// returns false so the caller recomputes — and the recompute's save
-/// repairs the entry on disk.
-bool verify_payload_crcs(const Manifest& m, const fs::path& entry,
-                         const ArtifactStore::WarnFn& warn) {
-    for (const auto& [key, value] : m.lines) {
-        if (key != "crc") continue;
-        const auto sp = value.find(' ');
-        if (sp == std::string::npos || sp == 0) {
-            warn_at(warn, "artifact store: corrupt crc line in " +
-                              entry.string() + "; recomputing");
-            return false;
-        }
-        const std::string file = value.substr(0, sp);
-        const std::string want = value.substr(sp + 1);
+    Payloads payloads;
+    for (std::size_t i = 3; i + 1 < lines.size(); ++i) {
+        std::istringstream ss(lines[i]);
+        std::string tag, name, want, extra;
+        if (!(ss >> tag >> name >> want) || (ss >> extra) || tag != "crc" ||
+            !is_payload_name(name) || payloads.count(name))
+            fail("corrupt manifest line '" + lines[i] + "'");
         std::string bytes;
         try {
-            bytes = util::read_file((entry / file).string());
+            bytes = util::read_file((entry / name).string());
         } catch (const std::exception&) {
-            warn_at(warn, "artifact store: payload " + file + " missing from " +
-                              entry.string() + "; recomputing");
-            return false;
+            fail("payload " + name + " missing");
         }
         if (util::crc32_hex(util::crc32(bytes)) != want) {
-            obs::MetricsRegistry::global()
-                .counter("artifact_crc_mismatch_total")
-                .add(1);
-            warn_at(warn, "artifact store: payload CRC mismatch on " + file +
-                              " in " + entry.string() +
-                              "; recomputing and repairing");
-            return false;
+            obs::MetricsRegistry::global().counter("artifact_crc_mismatch_total").add(1);
+            fail("payload CRC mismatch on " + name);
         }
+        payloads.emplace(name, std::move(bytes));
     }
-    return true;
+    return payloads;
 }
 
-/// Write `body` under the entry directory near-atomically: emit into a
-/// sibling per-process .tmp directory, then rename over.  An existing
-/// entry (e.g. one that failed its load-time validation and got
-/// recomputed) is replaced.  The pid suffix keeps concurrent processes
+/// Publish an entry near-atomically: write the payloads and the manifest
+/// into a sibling per-process .tmp directory, then rename it over the
+/// entry.  An existing entry (e.g. one that failed its load-time checks and
+/// got recomputed) is replaced.  The pid suffix keeps concurrent processes
 /// sharing one cache_dir from scribbling into each other's staging area;
 /// within a process the per-key single-flight lock already serializes.
-void write_entry(const fs::path& entry_dir,
-                 const std::function<void(const fs::path&)>& body,
-                 const ArtifactStore::WarnFn& warn) {
-    const fs::path tmp =
-        entry_dir.string() + ".tmp." + std::to_string(::getpid());
+void write_entry(const fs::path& entry, const char* stage, std::uint64_t key,
+                 const Payloads& payloads, const ArtifactStore::WarnFn& warn) {
+    const fs::path tmp = entry.string() + ".tmp." + std::to_string(::getpid());
     std::error_code ec;
     fs::remove_all(tmp, ec);
     try {
         fs::create_directories(tmp);
-        body(tmp);
+        const auto put = [&](const std::string& name, const std::string& bytes) {
+            std::ofstream out(tmp / name, std::ios::binary);
+            out << bytes;
+            if (!out) throw std::runtime_error("write of " + name + " failed");
+        };
+        for (const auto& [name, bytes] : payloads) put(name, bytes);
+        put(kManifestName, manifest_text(stage, key, payloads));
         // Death here leaves only the .tmp staging dir: readers never see a
         // half-written entry, and the debris is skipped by is_key_dir_name.
         fault::FsHooks::instance().crash_point("store.publish.pre-rename");
@@ -278,36 +216,34 @@ void write_entry(const fs::path& entry_dir,
         const fault::RetryPolicy policy = fault::retry_policy();
         for (int attempt = 1;; ++attempt) {
             int err = 0;
-            if (const auto a = fault::FsHooks::instance().check(
-                    fault::Op::kRename, entry_dir.string());
+            if (const auto a = fault::FsHooks::instance().check(fault::Op::kRename,
+                                                                entry.string());
                 a.fire) {
                 err = a.err;
             } else {
                 std::error_code rec;
-                fs::rename(tmp, entry_dir, rec);
+                fs::rename(tmp, entry, rec);
                 if (rec) {
                     // Destination exists (a stale or corrupt entry being
                     // repaired): replace it.
-                    fs::remove_all(entry_dir, rec);
-                    fs::rename(tmp, entry_dir, rec);
+                    fs::remove_all(entry, rec);
+                    fs::rename(tmp, entry, rec);
                     err = rec.value();
                 }
             }
             if (err == 0) break;
-            if (!fault::is_transient_errno(err) ||
-                attempt >= policy.max_attempts) {
+            if (!fault::is_transient_errno(err) || attempt >= policy.max_attempts) {
                 errno = err;
-                throw util::FsError(
-                    "entry rename failed: " + std::string(strerror(err)), err);
+                throw util::FsError("entry rename failed: " + std::string(strerror(err)),
+                                    err);
             }
             obs::MetricsRegistry::global().counter("fs_retry_total").add(1);
-            fault::sleep_for_ms(fault::backoff_delay_ms(
-                policy, entry_dir.string(), attempt));
+            fault::sleep_for_ms(fault::backoff_delay_ms(policy, entry.string(), attempt));
         }
     } catch (const std::exception& e) {
         fs::remove_all(tmp, ec);
-        warn_at(warn, std::string("artifact store: could not persist ") +
-                          entry_dir.string() + ": " + e.what());
+        warn_at(warn, "artifact store: could not persist " + entry.string() + ": " +
+                          e.what());
     }
 }
 
@@ -320,76 +256,205 @@ bool is_key_dir_name(const std::string& name) {
     return true;
 }
 
-std::string hcb_module_name(std::size_t k) {
-    return "hcb_" + std::to_string(k) + "_comb";
+// ---------------------------------------------------------------------------
+// Per-kind payloads: one encode and one decode each.  A decode throws on
+// anything wrong; an encode that returns no payloads persists nothing.
+// ---------------------------------------------------------------------------
+
+const std::string& payload(const Payloads& p, const std::string& name) {
+    const auto it = p.find(name);
+    if (it == p.end()) throw std::runtime_error("missing payload " + name);
+    return it->second;
 }
 
-std::string hcb_file_name(std::size_t k) {
-    return "hcb_" + std::to_string(k) + ".v";
+Json num(double v) { return Json(v); }
+
+/// A whole number in [0, max]; anything else is corruption.
+std::uint64_t whole(const Json& j, std::uint64_t max) {
+    const double v = j.as_double();
+    if (!(v >= 0.0 && v <= double(max) && v == std::floor(v)))
+        throw std::runtime_error("json: expected a whole number up to " +
+                                 std::to_string(max));
+    return std::uint64_t(v);
 }
 
-/// Emitted Verilog for one cached HCB netlist - shared by save (write the
-/// text) and load (byte-identity self-check).
-std::string hcb_verilog(const rtl::HcbNetlist& hcb, std::size_t k, bool strash) {
-    return rtl::emit_module(
-        rtl::generate_hcb_comb_module(hcb, hcb_module_name(k), !strash));
+std::size_t size_at(const Json& j, const std::string& key) {
+    return std::size_t(whole(j.at(key), std::uint64_t(1) << 53));
 }
 
-/// Sanity ceiling for manifest-declared counts: a corrupt length field
-/// must become a clean "corrupt entry" verdict, not a giant allocation.
-constexpr std::size_t kMaxManifestCount = 1u << 24;
-
-std::vector<std::uint32_t> parse_id_list(const std::string& v, bool* ok) {
-    std::istringstream ss(v);
-    std::size_t n = 0;
-    *ok = false;
-    if (!(ss >> n) || n > kMaxManifestCount) return {};
-    std::vector<std::uint32_t> ids(n);
-    for (std::size_t i = 0; i < n; ++i)
-        if (!(ss >> ids[i])) return {};
-    std::string extra;
-    if (ss >> extra) return {};
-    *ok = true;
-    return ids;
+Json id_array(const std::vector<std::uint32_t>& ids) {
+    Json a = Json::array();
+    for (const std::uint32_t id : ids) a.push_back(num(id));
+    return a;
 }
 
-/// Decode the training-record fields of a train-stage manifest (epochs run,
-/// stop reason, best epoch, producer threads, accuracy history).  Strict:
-/// any missing or malformed field makes the entry untrusted.
-bool parse_fit_report(const Manifest& m, train::FitReport* out) {
-    const std::string* epochs = m.find("epochs_run");
-    const std::string* reason = m.find("stop_reason");
-    const std::string* best = m.find("best_epoch");
-    const std::string* threads = m.find("threads_used");
-    const std::string* history = m.find("history");
-    if (!epochs || !reason || !best || !threads || !history) return false;
-    try {
-        out->epochs_run = std::stoul(*epochs);
-        out->best_epoch = std::stoul(*best);
-        out->threads_used = unsigned(std::stoul(*threads));
-    } catch (...) {
-        return false;
+std::string hcb_file_name(std::size_t k) { return "hcb_" + std::to_string(k) + ".aig"; }
+
+// -- train: model.tm (TrainedModel::save) + record.json ----------------------
+
+Payloads encode(const TrainedArtifact& a) {
+    if (!a.model) return {};
+    std::ostringstream model;
+    a.model->save(model);
+    Json fit = Json::object();
+    fit.set("epochs_run", num(a.fit.epochs_run));
+    fit.set("stop_reason", train::stop_reason_name(a.fit.stop_reason));
+    fit.set("best_epoch", num(a.fit.best_epoch));
+    fit.set("train_accuracy", num(a.fit.train_accuracy));
+    fit.set("eval_accuracy", num(a.fit.eval_accuracy));
+    fit.set("threads_used", num(a.fit.threads_used));
+    Json history = Json::array();
+    for (const auto& m : a.fit.history) {
+        Json e = Json::object();
+        e.set("epoch", num(m.epoch));
+        e.set("train_accuracy", num(m.train_accuracy));
+        e.set("eval_accuracy", num(m.eval_accuracy));
+        history.push_back(std::move(e));
     }
-    const auto parsed = train::stop_reason_from_name(*reason);
-    if (!parsed) return false;
-    out->stop_reason = *parsed;
+    fit.set("history", std::move(history));
+    Json record = Json::object();
+    record.set("train_accuracy", num(a.train_accuracy));
+    record.set("test_accuracy", num(a.test_accuracy));
+    record.set("fit", std::move(fit));
+    return {{"model.tm", model.str()}, {"record.json", record.dump() + "\n"}};
+}
 
-    std::istringstream ss(*history);
-    std::size_t n = 0;
-    if (!(ss >> n) || n > kMaxManifestCount) return false;
-    out->history.clear();
-    out->history.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        train::EpochMetrics e;
-        std::string ta, ea;
-        if (!(ss >> e.epoch >> ta >> ea) || !parse_double(ta, &e.train_accuracy) ||
-            !parse_double(ea, &e.eval_accuracy))
-            return false;
-        out->history.push_back(e);
+void decode(const Payloads& p, TrainedArtifact& a) {
+    std::istringstream model(payload(p, "model.tm"));
+    a.model = std::make_shared<model::TrainedModel>(model::TrainedModel::load(model));
+    const Json record = Json::parse(payload(p, "record.json"));
+    a.train_accuracy = record.at("train_accuracy").as_double();
+    a.test_accuracy = record.at("test_accuracy").as_double();
+    const Json& fit = record.at("fit");
+    a.fit.epochs_run = size_at(fit, "epochs_run");
+    const auto reason = train::stop_reason_from_name(fit.at("stop_reason").as_string());
+    if (!reason) throw std::runtime_error("unknown stop reason");
+    a.fit.stop_reason = *reason;
+    a.fit.best_epoch = size_at(fit, "best_epoch");
+    a.fit.train_accuracy = fit.at("train_accuracy").as_double();
+    a.fit.eval_accuracy = fit.at("eval_accuracy").as_double();
+    a.fit.threads_used = unsigned(whole(fit.at("threads_used"), 0xffffffffu));
+    for (const Json& e : fit.at("history").as_array())
+        a.fit.history.push_back({size_at(e, "epoch"), e.at("train_accuracy").as_double(),
+                                 e.at("eval_accuracy").as_double()});
+}
+
+// -- generate: record.json + one binary AIGER file per HCB --------------------
+
+Payloads encode(const GeneratedArtifact& a) {
+    if (!a.hcbs) return {};
+    Payloads p;
+    Json hcbs = Json::array();
+    for (std::size_t k = 0; k < a.hcbs->size(); ++k) {
+        const rtl::HcbNetlist& hcb = (*a.hcbs)[k];
+        Json spec = Json::object();
+        spec.set("packet", num(hcb.spec.packet));
+        spec.set("lo", num(hcb.spec.lo));
+        spec.set("hi", num(hcb.spec.hi));
+        spec.set("active_clauses", id_array(hcb.spec.active_clauses));
+        spec.set("passthrough_clauses", id_array(hcb.spec.passthrough_clauses));
+        std::string chain;  // one '0' or '1' per active clause
+        for (const bool b : hcb.spec.has_chain_input) chain += b ? '1' : '0';
+        spec.set("has_chain_input", std::move(chain));
+        hcbs.push_back(std::move(spec));
+        p.emplace(hcb_file_name(k), logic::write_aiger_binary(hcb.aig));
     }
-    std::string extra;
-    if (ss >> extra) return false;
-    return true;
+    Json record = Json::object();
+    record.set("strash", a.strash);
+    record.set("mapped_luts", num(a.hcb_mapped_luts));
+    record.set("max_depth", num(a.hcb_max_depth));
+    record.set("hcbs", std::move(hcbs));
+    p.emplace("record.json", record.dump() + "\n");
+    return p;
+}
+
+void decode(const Payloads& p, GeneratedArtifact& a) {
+    const Json record = Json::parse(payload(p, "record.json"));
+    a.strash = record.at("strash").as_bool();
+    a.hcb_mapped_luts = size_at(record, "mapped_luts");
+    a.hcb_max_depth = unsigned(whole(record.at("max_depth"), 0xffffffffu));
+    auto hcbs = std::make_shared<std::vector<rtl::HcbNetlist>>();
+    for (const Json& j : record.at("hcbs").as_array()) {
+        const std::size_t k = hcbs->size();
+        rtl::HcbNetlist hcb;
+        rtl::HcbSpec& spec = hcb.spec;
+        spec.packet = size_at(j, "packet");
+        spec.lo = size_at(j, "lo");
+        spec.hi = size_at(j, "hi");
+        for (const Json& id : j.at("active_clauses").as_array())
+            spec.active_clauses.push_back(std::uint32_t(whole(id, 0xffffffffu)));
+        for (const Json& id : j.at("passthrough_clauses").as_array())
+            spec.passthrough_clauses.push_back(std::uint32_t(whole(id, 0xffffffffu)));
+        for (const char c : j.at("has_chain_input").as_string()) {
+            if (c != '0' && c != '1') throw std::runtime_error("corrupt chain flags");
+            spec.has_chain_input.push_back(c == '1');
+        }
+        const std::size_t chains = std::size_t(
+            std::count(spec.has_chain_input.begin(), spec.has_chain_input.end(), true));
+        if (spec.packet != k || spec.lo > spec.hi ||
+            spec.has_chain_input.size() != spec.active_clauses.size())
+            throw std::runtime_error("corrupt spec of HCB " + std::to_string(k));
+
+        const std::string& bytes = payload(p, hcb_file_name(k));
+        hcb.aig = logic::read_aiger(bytes, a.strash);
+        if (hcb.aig.num_pis() != spec.hi - spec.lo + chains ||
+            hcb.aig.num_pos() != spec.active_clauses.size())
+            throw std::runtime_error(hcb_file_name(k) + " does not fit its HCB spec");
+        if (logic::write_aiger_binary(hcb.aig) != bytes)
+            throw std::runtime_error(hcb_file_name(k) +
+                                     " does not re-export to its own bytes");
+        hcbs->push_back(std::move(hcb));
+    }
+    a.hcbs = std::move(hcbs);
+}
+
+// -- lint and proof: report.json ----------------------------------------------
+
+Payloads encode(const LintArtifact& a) {
+    return {{"report.json", lint::lint_report_to_json(a.report).dump(2) + "\n"}};
+}
+
+void decode(const Payloads& p, LintArtifact& a) {
+    a.report = lint::lint_report_from_json(Json::parse(payload(p, "report.json")));
+}
+
+Payloads encode(const ProofArtifact& a) {
+    return {{"report.json", sat::prove_report_to_json(a.report).dump(2) + "\n"}};
+}
+
+void decode(const Payloads& p, ProofArtifact& a) {
+    a.report = sat::prove_report_from_json(Json::parse(payload(p, "report.json")));
+}
+
+// -- the disk tier of any kind -------------------------------------------------
+
+/// nullopt when there is no entry; throws on a corrupt one.
+template <typename T>
+std::optional<T> read_disk(const std::string& dir, const char* stage, std::uint64_t key) {
+    const auto payloads = read_entry(entry_dir(dir, stage, key), stage, key);
+    if (!payloads) return std::nullopt;
+    T artifact;
+    decode(*payloads, artifact);
+    return artifact;
+}
+
+template <typename T>
+void write_disk(const std::string& dir, const char* stage, std::uint64_t key,
+                const T& artifact, const ArtifactStore::WarnFn& warn) {
+    const Payloads payloads = encode(artifact);
+    if (!payloads.empty())
+        write_entry(entry_dir(dir, stage, key), stage, key, payloads, warn);
+}
+
+/// Published entries of one stage (key-named directories with a manifest).
+std::size_t count_disk_entries(const std::string& dir, const char* stage) {
+    std::error_code ec;
+    std::size_t n = 0;
+    for (const auto& e : fs::directory_iterator(fs::path(dir) / stage, ec))
+        if (e.is_directory() && is_key_dir_name(e.path().filename().string()) &&
+            fs::exists(e.path() / kManifestName))
+            ++n;
+    return n;
 }
 
 }  // namespace
@@ -401,9 +466,9 @@ bool parse_fit_report(const Manifest& m, train::FitReport* out) {
 ArtifactStore::ArtifactStore(std::string cache_dir) : dir_(std::move(cache_dir)) {}
 
 template <typename T>
-T ArtifactStore::get_or_compute(StageSlots<T>& stage, const char* stage_name,
-                                std::uint64_t key, const std::function<T()>& fn,
-                                ArtifactTier* served, const WarnFn& warn) {
+T ArtifactStore::get_or_compute(StageSlots<T>& stage, std::uint64_t key,
+                                const std::function<T()>& fn, ArtifactTier* served,
+                                const WarnFn& warn) {
     std::shared_ptr<typename StageSlots<T>::Slot> slot;
     {
         std::lock_guard<std::mutex> lock(stage.mu);
@@ -424,15 +489,16 @@ T ArtifactStore::get_or_compute(StageSlots<T>& stage, const char* stage_name,
         // error - however exotic the corruption - degrades to a recompute.
         std::optional<T> loaded;
         try {
-            loaded = load_disk(stage_name, key, warn, (T*)nullptr);
+            loaded = read_disk<T>(dir_, stage.name, key);
         } catch (const std::exception& e) {
-            warn_at(warn, std::string("artifact store: unreadable ") +
-                              stage_name + " entry " + key_hex(key) + " (" +
-                              e.what() + "); recomputing");
+            warn_at(warn, std::string("artifact store: skipping ") + stage.name +
+                              " entry " + key_hex(key) + " (" + e.what() +
+                              "); recomputing");
         }
         if (loaded) {
             slot->artifact = std::move(*loaded);
             slot->computed = true;
+            stage.memory_entries++;
             stage.disk_hits++;
             if (served) *served = ArtifactTier::kDisk;
             return slot->artifact;
@@ -440,440 +506,83 @@ T ArtifactStore::get_or_compute(StageSlots<T>& stage, const char* stage_name,
     }
     slot->artifact = fn();
     slot->computed = true;
+    stage.memory_entries++;
     stage.misses++;
     if (served) *served = ArtifactTier::kNone;
-    if (persistent()) save_disk(stage_name, key, slot->artifact, warn);
+    if (persistent()) write_disk(dir_, stage.name, key, slot->artifact, warn);
     return slot->artifact;
 }
 
 TrainedArtifact ArtifactStore::get_or_compute_trained(
     std::uint64_t key, const std::function<TrainedArtifact()>& fn,
     ArtifactTier* served, const WarnFn& warn) {
-    return get_or_compute(train_, "train", key, fn, served, warn);
+    return get_or_compute(train_, key, fn, served, warn);
 }
 
 GeneratedArtifact ArtifactStore::get_or_compute_generated(
     std::uint64_t key, const std::function<GeneratedArtifact()>& fn,
     ArtifactTier* served, const WarnFn& warn) {
-    return get_or_compute(generate_, "generate", key, fn, served, warn);
+    return get_or_compute(generate_, key, fn, served, warn);
 }
 
 LintArtifact ArtifactStore::get_or_compute_lint(
     std::uint64_t key, const std::function<LintArtifact()>& fn,
     ArtifactTier* served, const WarnFn& warn) {
-    return get_or_compute(lint_, "lint", key, fn, served, warn);
+    return get_or_compute(lint_, key, fn, served, warn);
 }
 
 ProofArtifact ArtifactStore::get_or_compute_proof(
     std::uint64_t key, const std::function<ProofArtifact()>& fn,
     ArtifactTier* served, const WarnFn& warn) {
-    return get_or_compute(proof_, "proof", key, fn, served, warn);
+    return get_or_compute(proof_, key, fn, served, warn);
 }
 
-// ---------------------------------------------------------------------------
-// Disk tier: trained models
-// ---------------------------------------------------------------------------
-
-std::optional<TrainedArtifact> ArtifactStore::load_disk(const char* stage_name,
-                                                        std::uint64_t key,
-                                                        const WarnFn& warn,
-                                                        TrainedArtifact*) const {
-    const fs::path entry = fs::path(dir_) / stage_name / key_hex(key);
-    const auto manifest = read_manifest(entry / kManifestName, stage_name, key, warn);
-    if (!manifest) return std::nullopt;
-    if (!verify_payload_crcs(*manifest, entry, warn)) return std::nullopt;
-
-    TrainedArtifact a;
-    const std::string* train_acc = manifest->find("train_accuracy");
-    const std::string* test_acc = manifest->find("test_accuracy");
-    if (!train_acc || !test_acc || !parse_double(*train_acc, &a.train_accuracy) ||
-        !parse_double(*test_acc, &a.test_accuracy)) {
-        warn_at(warn, "artifact store: corrupt accuracy fields in " +
-                          entry.string() + "; recomputing");
-        return std::nullopt;
-    }
-    if (!parse_fit_report(*manifest, &a.fit)) {
-        warn_at(warn, "artifact store: corrupt training record in " +
-                          entry.string() + "; recomputing");
-        return std::nullopt;
-    }
-    a.fit.train_accuracy = a.train_accuracy;
-    a.fit.eval_accuracy = a.test_accuracy;
-    try {
-        a.model = std::make_shared<model::TrainedModel>(
-            model::TrainedModel::load_file((entry / "model.tm").string()));
-    } catch (const std::exception& e) {
-        warn_at(warn, "artifact store: unusable model in " + entry.string() +
-                          " (" + e.what() + "); recomputing");
-        return std::nullopt;
-    }
-    return a;
-}
-
-void ArtifactStore::save_disk(const char* stage_name, std::uint64_t key,
-                              const TrainedArtifact& a, const WarnFn& warn) const {
-    if (!a.model) return;  // nothing worth persisting
-    const fs::path entry = fs::path(dir_) / stage_name / key_hex(key);
-    write_entry(
-        entry,
-        [&](const fs::path& tmp) {
-            a.model->save_file((tmp / "model.tm").string());
-            std::ofstream out(tmp / kManifestName);
-            out << "MATADOR-ARTIFACT v" << kManifestVersion << "\n";
-            out << "stage " << stage_name << "\n";
-            out << "key " << key_hex(key) << "\n";
-            out << "train_accuracy " << fmt_double(a.train_accuracy) << "\n";
-            out << "test_accuracy " << fmt_double(a.test_accuracy) << "\n";
-            out << "epochs_run " << a.fit.epochs_run << "\n";
-            out << "stop_reason " << train::stop_reason_name(a.fit.stop_reason)
-                << "\n";
-            out << "best_epoch " << a.fit.best_epoch << "\n";
-            out << "threads_used " << a.fit.threads_used << "\n";
-            out << "history " << a.fit.history.size();
-            for (const auto& m : a.fit.history)
-                out << " " << m.epoch << " " << fmt_double(m.train_accuracy)
-                    << " " << fmt_double(m.eval_accuracy);
-            out << "\n";
-            out << crc_line_of_file(tmp / "model.tm");
-            out << "end\n";
-            if (!out) throw std::runtime_error("manifest write failed");
-        },
-        warn);
-}
-
-// ---------------------------------------------------------------------------
-// Disk tier: generated RTL
-// ---------------------------------------------------------------------------
-
-std::optional<GeneratedArtifact> ArtifactStore::load_disk(const char* stage_name,
-                                                          std::uint64_t key,
-                                                          const WarnFn& warn,
-                                                          GeneratedArtifact*) const {
-    const fs::path entry = fs::path(dir_) / stage_name / key_hex(key);
-    const auto manifest = read_manifest(entry / kManifestName, stage_name, key, warn);
-    if (!manifest) return std::nullopt;
-    if (!verify_payload_crcs(*manifest, entry, warn)) return std::nullopt;
-
-    const auto corrupt = [&](const std::string& what) {
-        warn_at(warn, "artifact store: " + what + " in " + entry.string() +
-                          "; recomputing");
-        return std::nullopt;
-    };
-
-    GeneratedArtifact g;
-    const std::string* strash = manifest->find("strash");
-    const std::string* luts = manifest->find("mapped_luts");
-    const std::string* depth = manifest->find("max_depth");
-    const std::string* count = manifest->find("hcbs");
-    if (!strash || (*strash != "0" && *strash != "1") || !luts || !depth || !count)
-        return corrupt("missing or corrupt summary fields");
-    g.strash = *strash == "1";
-    try {
-        g.hcb_mapped_luts = std::stoul(*luts);
-        g.hcb_max_depth = unsigned(std::stoul(*depth));
-    } catch (...) {
-        return corrupt("corrupt LUT summary");
-    }
-    std::size_t num_hcbs = 0;
-    try {
-        num_hcbs = std::stoul(*count);
-    } catch (...) {
-        return corrupt("corrupt hcb count");
-    }
-    if (num_hcbs > kMaxManifestCount) return corrupt("corrupt hcb count");
-
-    // Per-HCB spec lines, in manifest order: hcb / active / passthrough / chain.
-    auto hcbs = std::make_shared<std::vector<rtl::HcbNetlist>>();
-    hcbs->reserve(num_hcbs);
-    std::size_t li = 0;
-    const auto& lines = manifest->lines;
-    const auto next_line = [&](const std::string& want) -> const std::string* {
-        while (li < lines.size() && lines[li].first != "hcb" &&
-               lines[li].first != "active" && lines[li].first != "passthrough" &&
-               lines[li].first != "chain")
-            ++li;
-        if (li >= lines.size() || lines[li].first != want) return nullptr;
-        return &lines[li++].second;
-    };
-
-    for (std::size_t k = 0; k < num_hcbs; ++k) {
-        rtl::HcbSpec spec;
-        const std::string* hdr = next_line("hcb");
-        if (!hdr) return corrupt("missing hcb spec line");
-        {
-            std::istringstream ss(*hdr);
-            if (!(ss >> spec.packet >> spec.lo >> spec.hi) || spec.packet != k)
-                return corrupt("corrupt hcb spec line");
-        }
-        bool ok = false;
-        const std::string* act = next_line("active");
-        if (!act) return corrupt("missing active-clause list");
-        spec.active_clauses = parse_id_list(*act, &ok);
-        if (!ok) return corrupt("corrupt active-clause list");
-        const std::string* pass = next_line("passthrough");
-        if (!pass) return corrupt("missing passthrough-clause list");
-        spec.passthrough_clauses = parse_id_list(*pass, &ok);
-        if (!ok) return corrupt("corrupt passthrough-clause list");
-        const std::string* chain = next_line("chain");
-        if (!chain) return corrupt("missing chain flags");
-        {
-            const auto bits = parse_id_list(*chain, &ok);
-            if (!ok || bits.size() != spec.active_clauses.size())
-                return corrupt("corrupt chain flags");
-            spec.has_chain_input.reserve(bits.size());
-            for (auto b : bits) spec.has_chain_input.push_back(b != 0);
-        }
-
-        // RTL roundtrip: parse the stored Verilog back into an AIG, then
-        // re-emit and demand byte identity with the stored text.  Anything
-        // short of that (corruption, a format drift, a parser gap) makes
-        // the entry untrusted.
-        std::string text;
-        try {
-            text = util::read_file(entry / hcb_file_name(k));
-        } catch (const std::exception& e) {
-            return corrupt(std::string("unreadable RTL (") + e.what() + ")");
-        }
-        rtl::HcbNetlist netlist;
-        netlist.spec = std::move(spec);
-        try {
-            netlist.aig = rtl::parse_structural_verilog(text, g.strash).aig;
-        } catch (const std::exception& e) {
-            return corrupt(std::string("unparsable RTL (") + e.what() + ")");
-        }
-        if (hcb_verilog(netlist, k, g.strash) != text)
-            return corrupt("RTL failed the byte-identity roundtrip check");
-        hcbs->push_back(std::move(netlist));
-    }
-    g.hcbs = std::move(hcbs);
-    return g;
-}
-
-void ArtifactStore::save_disk(const char* stage_name, std::uint64_t key,
-                              const GeneratedArtifact& a, const WarnFn& warn) const {
-    if (!a.hcbs) return;  // nothing worth persisting
-    const fs::path entry = fs::path(dir_) / stage_name / key_hex(key);
-    write_entry(
-        entry,
-        [&](const fs::path& tmp) {
-            std::ofstream out(tmp / kManifestName);
-            out << "MATADOR-ARTIFACT v" << kManifestVersion << "\n";
-            out << "stage " << stage_name << "\n";
-            out << "key " << key_hex(key) << "\n";
-            out << "strash " << (a.strash ? 1 : 0) << "\n";
-            out << "mapped_luts " << a.hcb_mapped_luts << "\n";
-            out << "max_depth " << a.hcb_max_depth << "\n";
-            out << "hcbs " << a.hcbs->size() << "\n";
-            for (std::size_t k = 0; k < a.hcbs->size(); ++k) {
-                const auto& spec = (*a.hcbs)[k].spec;
-                out << "hcb " << spec.packet << " " << spec.lo << " " << spec.hi
-                    << "\n";
-                out << "active " << spec.active_clauses.size();
-                for (auto id : spec.active_clauses) out << " " << id;
-                out << "\n";
-                out << "passthrough " << spec.passthrough_clauses.size();
-                for (auto id : spec.passthrough_clauses) out << " " << id;
-                out << "\n";
-                out << "chain " << spec.has_chain_input.size();
-                for (bool b : spec.has_chain_input) out << " " << (b ? 1 : 0);
-                out << "\n";
-
-                const std::string text = hcb_verilog((*a.hcbs)[k], k, a.strash);
-                std::ofstream v(tmp / hcb_file_name(k), std::ios::binary);
-                v << text;
-                if (!v) throw std::runtime_error("RTL write failed");
-                out << crc_line(hcb_file_name(k), text);
-            }
-            out << "end\n";
-            if (!out) throw std::runtime_error("manifest write failed");
-        },
-        warn);
-}
-
-// ---------------------------------------------------------------------------
-// Disk tier: lint reports
-// ---------------------------------------------------------------------------
-
-std::optional<LintArtifact> ArtifactStore::load_disk(const char* stage_name,
-                                                     std::uint64_t key,
-                                                     const WarnFn& warn,
-                                                     LintArtifact*) const {
-    const fs::path entry = fs::path(dir_) / stage_name / key_hex(key);
-    const auto manifest = read_manifest(entry / kManifestName, stage_name, key, warn);
-    if (!manifest) return std::nullopt;
-    if (!verify_payload_crcs(*manifest, entry, warn)) return std::nullopt;
-
-    LintArtifact a;
-    try {
-        a.report = lint::lint_report_from_json(
-            util::Json::parse(util::read_file(entry / "report.json")));
-    } catch (const std::exception& e) {
-        warn_at(warn, "artifact store: unusable lint report in " +
-                          entry.string() + " (" + e.what() + "); recomputing");
-        return std::nullopt;
-    }
-    return a;
-}
-
-void ArtifactStore::save_disk(const char* stage_name, std::uint64_t key,
-                              const LintArtifact& a, const WarnFn& warn) const {
-    const fs::path entry = fs::path(dir_) / stage_name / key_hex(key);
-    write_entry(
-        entry,
-        [&](const fs::path& tmp) {
-            const std::string text =
-                lint::lint_report_to_json(a.report).dump(2) + "\n";
-            std::ofstream rj(tmp / "report.json", std::ios::binary);
-            rj << text;
-            if (!rj) throw std::runtime_error("report write failed");
-            std::ofstream out(tmp / kManifestName);
-            out << "MATADOR-ARTIFACT v" << kManifestVersion << "\n";
-            out << "stage " << stage_name << "\n";
-            out << "key " << key_hex(key) << "\n";
-            out << "findings " << a.report.findings.size() << "\n";
-            out << crc_line("report.json", text);
-            out << "end\n";
-            if (!out) throw std::runtime_error("manifest write failed");
-        },
-        warn);
-}
-
-// ---------------------------------------------------------------------------
-// Disk tier: proof reports
-// ---------------------------------------------------------------------------
-
-std::optional<ProofArtifact> ArtifactStore::load_disk(const char* stage_name,
-                                                      std::uint64_t key,
-                                                      const WarnFn& warn,
-                                                      ProofArtifact*) const {
-    const fs::path entry = fs::path(dir_) / stage_name / key_hex(key);
-    const auto manifest = read_manifest(entry / kManifestName, stage_name, key, warn);
-    if (!manifest) return std::nullopt;
-    if (!verify_payload_crcs(*manifest, entry, warn)) return std::nullopt;
-
-    ProofArtifact a;
-    try {
-        a.report = sat::prove_report_from_json(
-            util::Json::parse(util::read_file(entry / "report.json")));
-    } catch (const std::exception& e) {
-        warn_at(warn, "artifact store: unusable proof report in " +
-                          entry.string() + " (" + e.what() + "); recomputing");
-        return std::nullopt;
-    }
-    return a;
-}
-
-void ArtifactStore::save_disk(const char* stage_name, std::uint64_t key,
-                              const ProofArtifact& a, const WarnFn& warn) const {
-    const fs::path entry = fs::path(dir_) / stage_name / key_hex(key);
-    write_entry(
-        entry,
-        [&](const fs::path& tmp) {
-            const std::string text =
-                sat::prove_report_to_json(a.report).dump(2) + "\n";
-            std::ofstream rj(tmp / "report.json", std::ios::binary);
-            rj << text;
-            if (!rj) throw std::runtime_error("report write failed");
-            std::ofstream out(tmp / kManifestName);
-            out << "MATADOR-ARTIFACT v" << kManifestVersion << "\n";
-            out << "stage " << stage_name << "\n";
-            out << "key " << key_hex(key) << "\n";
-            out << "equivalent " << (a.report.equivalent ? 1 : 0) << "\n";
-            out << crc_line("report.json", text);
-            out << "end\n";
-            if (!out) throw std::runtime_error("manifest write failed");
-        },
-        warn);
+std::optional<TrainedArtifact> ArtifactStore::read_trained(std::uint64_t key) const {
+    if (!persistent()) return std::nullopt;
+    return read_disk<TrainedArtifact>(dir_, train_.name, key);
 }
 
 // ---------------------------------------------------------------------------
 // Stats and maintenance
 // ---------------------------------------------------------------------------
 
-std::size_t ArtifactStore::count_disk_entries(const char* stage_name) const {
-    if (!persistent()) return 0;
-    const fs::path stage_dir = fs::path(dir_) / stage_name;
-    std::error_code ec;
-    std::size_t n = 0;
-    for (const auto& e : fs::directory_iterator(stage_dir, ec))
-        if (e.is_directory() && is_key_dir_name(e.path().filename().string()) &&
-            fs::exists(e.path() / kManifestName))
-            ++n;
-    return n;
-}
-
 ArtifactStore::Stats ArtifactStore::stats() const {
     Stats s;
-    const auto tier = [this](const auto& stage, const char* name) {
-        TierStats t;
-        t.memory_hits = stage.memory_hits.load();
-        t.disk_hits = stage.disk_hits.load();
-        t.misses = stage.misses.load();
-        {
-            std::lock_guard<std::mutex> lock(stage.mu);
-            for (const auto& [key, slot] : stage.slots)
-                if (slot->computed) ++t.memory_entries;
-        }
-        t.disk_entries = count_disk_entries(name);
-        return t;
-    };
-    s.train = tier(train_, "train");
-    s.generate = tier(generate_, "generate");
-    s.lint = tier(lint_, "lint");
-    s.proof = tier(proof_, "proof");
+    for (const StageCounters* stage : stages_) {
+        TierStats& t = s[stage->name];
+        t.memory_hits = stage->memory_hits.load();
+        t.disk_hits = stage->disk_hits.load();
+        t.misses = stage->misses.load();
+        t.memory_entries = stage->memory_entries.load();
+        t.disk_entries = persistent() ? count_disk_entries(dir_, stage->name) : 0;
+    }
     return s;
-}
-
-void ArtifactStore::clear_memory() {
-    {
-        std::lock_guard<std::mutex> lock(train_.mu);
-        train_.slots.clear();
-    }
-    train_.memory_hits = 0;
-    train_.disk_hits = 0;
-    train_.misses = 0;
-    {
-        std::lock_guard<std::mutex> lock(generate_.mu);
-        generate_.slots.clear();
-    }
-    generate_.memory_hits = 0;
-    generate_.disk_hits = 0;
-    generate_.misses = 0;
-    {
-        std::lock_guard<std::mutex> lock(lint_.mu);
-        lint_.slots.clear();
-    }
-    lint_.memory_hits = 0;
-    lint_.disk_hits = 0;
-    lint_.misses = 0;
-    {
-        std::lock_guard<std::mutex> lock(proof_.mu);
-        proof_.slots.clear();
-    }
-    proof_.memory_hits = 0;
-    proof_.disk_hits = 0;
-    proof_.misses = 0;
 }
 
 std::vector<ArtifactStore::DiskEntry> ArtifactStore::list_disk() const {
     std::vector<DiskEntry> entries;
     if (!persistent()) return entries;
-    for (const char* stage : {"train", "generate", "lint", "proof"}) {
-        const fs::path stage_dir = fs::path(dir_) / stage;
+    for (const char* stage : kStages) {
         std::error_code ec;
         std::vector<DiskEntry> stage_entries;
-        for (const auto& e : fs::directory_iterator(stage_dir, ec)) {
+        for (const auto& e : fs::directory_iterator(fs::path(dir_) / stage, ec)) {
             if (!e.is_directory()) continue;
-            if (!is_key_dir_name(e.path().filename().string())) continue;
+            const std::string name = e.path().filename().string();
+            if (!is_key_dir_name(name)) continue;
             DiskEntry d;
             d.stage = stage;
-            d.key_hex = e.path().filename().string();
+            d.key = std::stoull(name, nullptr, 16);
+            d.key_hex = name;
+            d.path = e.path().string();
             std::error_code fec;
             for (const auto& f : fs::directory_iterator(e.path(), fec)) {
                 if (!f.is_regular_file()) continue;
                 d.files++;
                 d.bytes += f.file_size(fec);
+                if (f.path().filename() != kManifestName)
+                    d.payloads.push_back(f.path().string());
             }
+            std::sort(d.payloads.begin(), d.payloads.end());
             stage_entries.push_back(std::move(d));
         }
         std::sort(stage_entries.begin(), stage_entries.end(),
@@ -888,13 +597,11 @@ std::vector<ArtifactStore::DiskEntry> ArtifactStore::list_disk() const {
 std::uintmax_t ArtifactStore::clear_disk() {
     std::uintmax_t bytes = 0;
     for (const auto& e : list_disk()) bytes += e.bytes;
-    if (persistent()) {
-        std::error_code ec;
-        fs::remove_all(fs::path(dir_) / "train", ec);
-        fs::remove_all(fs::path(dir_) / "generate", ec);
-        fs::remove_all(fs::path(dir_) / "lint", ec);
-        fs::remove_all(fs::path(dir_) / "proof", ec);
-    }
+    if (persistent())
+        for (const char* stage : kStages) {
+            std::error_code ec;
+            fs::remove_all(fs::path(dir_) / stage, ec);
+        }
     return bytes;
 }
 

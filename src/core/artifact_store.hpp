@@ -11,35 +11,45 @@
 //               strash): the GeneratedArtifact (HCB AIGs + LUT mapping) -
 //               clock and device do NOT enter the key, so clock/device-only
 //               sweep points skip HCB construction and mapping entirely,
-//   lint     -> backend_config_hash again: the LintArtifact (static-analysis
-//               report over the generated design), persisted as JSON.
+//   lint     -> lint_cache_key (the backend hash + lint version): the
+//               LintArtifact (static-analysis report of the design),
+//   proof    -> proof_cache_key (the backend hash + SAT version +
+//               induction_k): the ProofArtifact (SAT equivalence report).
 //
 // Each stage slot is backed by two tiers:
 //
 //   memory - thread-safe and single-flight: concurrent sweep workers asking
 //            for the same key block until the first has computed, then
 //            share the result (the compute runs exactly once per key),
-//   disk   - optional (cache_dir != ""), laid out as
-//            <cache_dir>/<stage>/<hash16>/ with a versioned manifest.
-//            Models persist through TrainedModel::save/load; HCB netlists
-//            persist as the emitted Verilog and are parsed back through the
-//            structural parser, with a byte-identity self-check on load.
-//            Corrupt, truncated, or future-version entries are skipped with
-//            a warning (reported through the optional warn sink) and
-//            recomputed - never trusted.
+//   disk   - optional (cache_dir != ""), one directory per entry,
+//            <cache_dir>/<stage>/<hash16>/, written and read by one codec:
+//            a manifest (format version, stage, key, one CRC-32 per payload
+//            file) beside the payload files.  Each artifact kind encodes to
+//            named payloads and decodes from them: models as .tm files,
+//            records and reports as JSON, HCB netlists as binary AIGER read
+//            back under the design's own strash flag and trusted only if
+//            they re-export to the same bytes.  Corrupt, truncated, foreign
+//            or other-version entries are skipped with a warning (reported
+//            through the optional warn sink) and recomputed - never
+//            trusted - and the recompute rewrites them.
 //
 // A store outlives any single pipeline: sweeps share one across workers,
 // and a fresh process pointed at the same cache_dir rehydrates from disk
-// and trains / generates zero artifacts for known keys.
+// and trains / generates zero artifacts for known keys.  Nothing else reads
+// the disk layout: other code lists entries with list_disk() and reads
+// models with read_trained().
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -151,6 +161,11 @@ public:
     /// Sink for non-fatal warnings (corrupt / unreadable disk entries).
     using WarnFn = std::function<void(const std::string&)>;
 
+    /// The store's stages, in pipeline order.  Each names its disk
+    /// directory (<cache_dir>/<stage>/) and its counters in Stats.
+    static constexpr std::array<const char*, 4> kStages = {"train", "generate",
+                                                           "lint", "proof"};
+
     /// Per-stage hit/miss/entry counters, split by tier.
     struct TierStats {
         std::size_t memory_hits = 0;  ///< served from a finished memory slot
@@ -165,17 +180,44 @@ public:
         TierStats generate;
         TierStats lint;
         TierStats proof;
+
+        /// The counters of one of kStages; throws std::out_of_range for
+        /// any other name.
+        TierStats& operator[](std::string_view stage) {
+            TierStats* tiers[] = {&train, &generate, &lint, &proof};
+            for (std::size_t i = 0; i < kStages.size(); ++i)
+                if (stage == kStages[i]) return *tiers[i];
+            throw std::out_of_range("artifact store: no stage '" +
+                                    std::string(stage) + "'");
+        }
+        const TierStats& operator[](std::string_view stage) const {
+            return const_cast<Stats&>(*this)[stage];
+        }
+        /// Call fn(stage, counters) for every stage, in kStages order.
+        template <typename Fn>
+        void for_each(Fn&& fn) {
+            for (const char* stage : kStages) fn(stage, (*this)[stage]);
+        }
+        template <typename Fn>
+        void for_each(Fn&& fn) const {
+            for (const char* stage : kStages) fn(stage, (*this)[stage]);
+        }
     };
 
     /// One on-disk entry (for `matador cache ls` / stats).
     struct DiskEntry {
-        std::string stage;    ///< "train" | "generate" | "lint" | "proof"
+        std::string stage;    ///< one of kStages
+        std::uint64_t key = 0;
         std::string key_hex;  ///< 16-char entry directory name
+        std::string path;     ///< the entry directory
+        /// Paths of the entry's payload files (every file but the
+        /// manifest), sorted.
+        std::vector<std::string> payloads;
         std::uintmax_t bytes = 0;
         std::size_t files = 0;
     };
 
-    /// `cache_dir` empty => memory tier only (the PR-1 behaviour).
+    /// `cache_dir` empty => memory tier only.
     explicit ArtifactStore(std::string cache_dir = "");
 
     const std::string& cache_dir() const { return dir_; }
@@ -204,10 +246,12 @@ public:
         std::uint64_t key, const std::function<ProofArtifact()>& fn,
         ArtifactTier* served = nullptr, const WarnFn& warn = {});
 
-    Stats stats() const;
+    /// Read one train entry from the disk tier alone, verified like any
+    /// disk hit but touching neither the memory tier nor the counters.
+    /// nullopt when there is no such entry; throws when it is corrupt.
+    std::optional<TrainedArtifact> read_trained(std::uint64_t key) const;
 
-    /// Drop the memory tier (disk entries survive).
-    void clear_memory();
+    Stats stats() const;
 
     /// Enumerate the disk tier (empty when not persistent).
     std::vector<DiskEntry> list_disk() const;
@@ -216,55 +260,40 @@ public:
     std::uintmax_t clear_disk();
 
 private:
-    template <typename T>
-    struct StageSlots {
-        struct Slot {
-            std::mutex mu;
-            /// Atomic so stats() can observe it without taking mu (which an
-            /// in-flight compute holds for its whole run).
-            std::atomic<bool> computed{false};
-            T artifact;
-        };
-        mutable std::mutex mu;
-        std::unordered_map<std::uint64_t, std::shared_ptr<Slot>> slots;
+    /// A stage's name and counters, whatever its artifact type.
+    struct StageCounters {
+        explicit StageCounters(const char* stage_name) : name(stage_name) {}
+        const char* name;
         std::atomic<std::size_t> memory_hits{0};
         std::atomic<std::size_t> disk_hits{0};
         std::atomic<std::size_t> misses{0};
+        std::atomic<std::size_t> memory_entries{0};  ///< computed slots
+    };
+    template <typename T>
+    struct StageSlots : StageCounters {
+        using StageCounters::StageCounters;
+        struct Slot {
+            std::mutex mu;
+            bool computed = false;  ///< guarded by mu
+            T artifact;
+        };
+        std::mutex mu;
+        std::unordered_map<std::uint64_t, std::shared_ptr<Slot>> slots;
     };
 
     template <typename T>
-    T get_or_compute(StageSlots<T>& stage, const char* stage_name,
-                     std::uint64_t key, const std::function<T()>& fn,
-                     ArtifactTier* served, const WarnFn& warn);
-
-    std::optional<TrainedArtifact> load_disk(const char* stage_name,
-                                             std::uint64_t key, const WarnFn& warn,
-                                             TrainedArtifact*) const;
-    std::optional<GeneratedArtifact> load_disk(const char* stage_name,
-                                               std::uint64_t key, const WarnFn& warn,
-                                               GeneratedArtifact*) const;
-    std::optional<LintArtifact> load_disk(const char* stage_name,
-                                          std::uint64_t key, const WarnFn& warn,
-                                          LintArtifact*) const;
-    std::optional<ProofArtifact> load_disk(const char* stage_name,
-                                           std::uint64_t key, const WarnFn& warn,
-                                           ProofArtifact*) const;
-    void save_disk(const char* stage_name, std::uint64_t key,
-                   const TrainedArtifact& a, const WarnFn& warn) const;
-    void save_disk(const char* stage_name, std::uint64_t key,
-                   const GeneratedArtifact& a, const WarnFn& warn) const;
-    void save_disk(const char* stage_name, std::uint64_t key,
-                   const LintArtifact& a, const WarnFn& warn) const;
-    void save_disk(const char* stage_name, std::uint64_t key,
-                   const ProofArtifact& a, const WarnFn& warn) const;
-
-    std::size_t count_disk_entries(const char* stage_name) const;
+    T get_or_compute(StageSlots<T>& stage, std::uint64_t key,
+                     const std::function<T()>& fn, ArtifactTier* served,
+                     const WarnFn& warn);
 
     std::string dir_;
-    StageSlots<TrainedArtifact> train_;
-    StageSlots<GeneratedArtifact> generate_;
-    StageSlots<LintArtifact> lint_;
-    StageSlots<ProofArtifact> proof_;
+    StageSlots<TrainedArtifact> train_{kStages[0]};
+    StageSlots<GeneratedArtifact> generate_{kStages[1]};
+    StageSlots<LintArtifact> lint_{kStages[2]};
+    StageSlots<ProofArtifact> proof_{kStages[3]};
+    /// The stages in kStages order.
+    const std::array<const StageCounters*, 4> stages_{&train_, &generate_,
+                                                      &lint_, &proof_};
 };
 
 }  // namespace matador::core

@@ -566,18 +566,19 @@ SweepPoint sweep_point_from_json(const util::Json& j) {
 
 util::Json store_stats_to_json(const ArtifactStore::Stats& s) {
     Json j = Json::object();
-    j.set("train", tier_stats_to_json(s.train));
-    j.set("generate", tier_stats_to_json(s.generate));
-    j.set("lint", tier_stats_to_json(s.lint));
+    s.for_each([&](const char* stage, const ArtifactStore::TierStats& t) {
+        j.set(stage, tier_stats_to_json(t));
+    });
     return j;
 }
 
 ArtifactStore::Stats store_stats_from_json(const util::Json& j) {
     ArtifactStore::Stats s;
-    s.train = tier_stats_from_json(j.at("train"));
-    s.generate = tier_stats_from_json(j.at("generate"));
-    // Tolerant read: pre-lint documents (older shards) lack the key.
-    if (j.contains("lint")) s.lint = tier_stats_from_json(j.at("lint"));
+    // Tolerant read: documents from older builds lack the later stages
+    // (lint, proof), which then read as all-zero counters.
+    s.for_each([&](const char* stage, ArtifactStore::TierStats& t) {
+        if (j.contains(stage)) t = tier_stats_from_json(j.at(stage));
+    });
     return s;
 }
 

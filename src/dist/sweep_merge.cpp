@@ -83,10 +83,10 @@ MergeReport merge_sweep(const std::string& cache_dir) {
     for (const Json& stats : queue.read_all_stats()) {
         try {
             ShardReport shard = shard_report_from_json(stats);
-            add_tier(report.result.store_stats.train, shard.store_stats.train);
-            add_tier(report.result.store_stats.generate,
-                     shard.store_stats.generate);
-            add_tier(report.result.store_stats.lint, shard.store_stats.lint);
+            report.result.store_stats.for_each(
+                [&](const char* stage, core::ArtifactStore::TierStats& t) {
+                    add_tier(t, shard.store_stats[stage]);
+                });
             max_threads_sum += shard.threads_used;
             max_wall = std::max(max_wall, shard.wall_seconds);
             report.shards.push_back(std::move(shard));
@@ -99,14 +99,8 @@ MergeReport merge_sweep(const std::string& cache_dir) {
     report.result.wall_seconds = max_wall;
 
     const core::ArtifactStore store(cache_dir);
-    for (const auto& entry : store.list_disk()) {
-        if (entry.stage == "train")
-            ++report.result.store_stats.train.disk_entries;
-        else if (entry.stage == "generate")
-            ++report.result.store_stats.generate.disk_entries;
-        else if (entry.stage == "lint")
-            ++report.result.store_stats.lint.disk_entries;
-    }
+    for (const auto& entry : store.list_disk())
+        ++report.result.store_stats[entry.stage].disk_entries;
     return report;
 }
 

@@ -47,27 +47,14 @@ FaultPlan default_chaos_plan(std::uint64_t seed) {
 
 namespace {
 
-/// Artifact payload files eligible for corruption, sorted for seeded
-/// deterministic choice.  The queue/results trees are control state, not
-/// payloads — corrupting those tests a different (merge-validation) layer.
+/// Artifact payload files eligible for corruption: every payload of every
+/// entry the store lists, sorted for seeded deterministic choice.  The
+/// queue/results trees are control state, not payloads — corrupting those
+/// tests a different (merge-validation) layer.
 std::vector<fs::path> payload_files(const std::string& cache_dir) {
     std::vector<fs::path> files;
-    std::error_code ec;
-    for (fs::recursive_directory_iterator
-             it(cache_dir, fs::directory_options::skip_permission_denied, ec),
-         end;
-         it != end; it.increment(ec)) {
-        if (ec) break;
-        if (!it->is_regular_file(ec)) continue;
-        const std::string whole = it->path().string();
-        if (whole.find("/queue") != std::string::npos ||
-            whole.find("/results") != std::string::npos)
-            continue;
-        const std::string name = it->path().filename().string();
-        if (name == "model.tm" || name == "report.json" ||
-            name.rfind("hcb_", 0) == 0)
-            files.push_back(it->path());
-    }
+    for (const auto& entry : core::ArtifactStore(cache_dir).list_disk())
+        files.insert(files.end(), entry.payloads.begin(), entry.payloads.end());
     std::sort(files.begin(), files.end());
     return files;
 }

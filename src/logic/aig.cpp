@@ -7,8 +7,7 @@ namespace matador::logic {
 
 Lit Aig::create_pi() {
     const auto node = std::uint32_t(nodes_.size());
-    nodes_.push_back({kInvalidLit, kInvalidLit});
-    pi_index_[node] = pis_.size();
+    nodes_.push_back({kInvalidLit, Lit(pis_.size())});
     pis_.push_back(node);
     return make_lit(node);
 }

@@ -76,8 +76,8 @@ public:
     bool is_and(std::uint32_t node) const {
         return node != 0 && node_fanin0(node) != kInvalidLit;
     }
-    /// PI ordinal of a PI node.
-    std::size_t pi_index(std::uint32_t node) const { return pi_index_.at(node); }
+    /// PI ordinal of a PI node (`node` must be a PI).
+    std::size_t pi_index(std::uint32_t node) const { return nodes_[node].fanin1; }
 
     Lit node_fanin0(std::uint32_t node) const { return nodes_[node].fanin0; }
     Lit node_fanin1(std::uint32_t node) const { return nodes_[node].fanin1; }
@@ -98,7 +98,7 @@ private:
 
     struct Node {
         Lit fanin0 = kInvalidLit;  // kInvalidLit marks PI
-        Lit fanin1 = kInvalidLit;
+        Lit fanin1 = kInvalidLit;  // a PI's ordinal
     };
 
     struct Key {
@@ -118,7 +118,6 @@ private:
     bool strash_;
     std::vector<Node> nodes_;
     std::vector<std::uint32_t> pis_;
-    std::unordered_map<std::uint32_t, std::size_t> pi_index_;
     std::vector<Lit> pos_;
     std::unordered_map<Key, std::uint32_t, KeyHash> strash_table_;
 };

@@ -184,7 +184,7 @@ void write_aiger_file(const Aig& aig, const std::string& path) {
     if (!os) throw std::runtime_error("aiger: write to " + path + " failed");
 }
 
-Aig read_aiger(const std::string& data) {
+Aig read_aiger(const std::string& data, bool strash) {
     Cursor c(data);
     const Header h = read_header(c);
 
@@ -199,7 +199,7 @@ Aig read_aiger(const std::string& data) {
         return base ^ Lit(aiger_lit & 1);
     };
 
-    Aig aig(/*strash=*/false);
+    Aig aig(strash);
     if (h.binary) {
         for (std::uint32_t i = 1; i <= h.i; ++i) lit_of_var[i] = aig.create_pi();
         std::vector<std::uint32_t> outputs(h.o);

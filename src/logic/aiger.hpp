@@ -12,10 +12,10 @@
 // Import accepts both formats (sniffed from the magic), tolerates symbol
 // tables and comments, and rejects latches (the miter flow is purely
 // combinational - the sequential chain is unrolled before export).
-// Imported AIGs are built without structural hashing so duplicated gates
-// in the file stay duplicated; constant folding still applies, so a file
-// containing foldable gates (constant or equal fanins) imports to the
-// smaller, equivalent AIG.
+// Imported AIGs are built without structural hashing unless asked, so
+// duplicated gates in the file stay duplicated; constant folding still
+// applies, so a file containing foldable gates (constant or equal fanins)
+// imports to the smaller, equivalent AIG.
 #pragma once
 
 #include <cstdint>
@@ -36,15 +36,18 @@ void write_aiger_file(const Aig& aig, const std::string& path);
 /// so this caps binary inputs too, which take no bytes in the file).  The
 /// whole-design miter of the flow-mnist reference model has M = 28,061;
 /// this is about 150 times that, and importing that many inputs peaks
-/// at about 270 MB.
+/// at about 115 MB.
 inline constexpr std::uint32_t kAigerMaxVariables = 1u << 22;
 
 /// Parse an AIGER document (either format, sniffed from the magic).
 /// Throws std::runtime_error with a position on malformed input, future
 /// features (latches), undefined literals, or header counts that the
 /// document's size cannot hold or that exceed kAigerMaxVariables - all
-/// checked before any table is sized from them.
-Aig read_aiger(const std::string& data);
+/// checked before any table is sized from them.  `strash` is the imported
+/// AIG's structural-hashing flag: a file written from an AIG built with
+/// strash (all inputs created before any AND) reads back with the same
+/// node numbers and the same flag, so it behaves as the original did.
+Aig read_aiger(const std::string& data, bool strash = false);
 Aig read_aiger_file(const std::string& path);
 
 }  // namespace matador::logic

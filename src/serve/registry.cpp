@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
-#include <filesystem>
+#include <stdexcept>
 #include <utility>
 
 #include "core/artifact_store.hpp"
 #include "serve/error.hpp"
-
-namespace fs = std::filesystem;
 
 namespace matador::serve {
 
@@ -41,24 +39,18 @@ std::shared_ptr<const ServableModel> ModelRegistry::load_file(
 std::size_t ModelRegistry::scan_store(
     const std::function<void(const std::string&)>& warn) {
     if (cache_dir_.empty()) return 0;
-    const fs::path train_dir = fs::path(cache_dir_) / "train";
-    std::vector<fs::path> entries;
-    std::error_code ec;
-    for (const auto& entry : fs::directory_iterator(train_dir, ec)) {
-        const fs::path model_path = entry.path() / "model.tm";
-        if (fs::exists(model_path, ec)) entries.push_back(model_path);
-    }
-    std::sort(entries.begin(), entries.end());  // deterministic scan order
-
+    const core::ArtifactStore store(cache_dir_);
     std::size_t added = 0;
-    for (const auto& path : entries) {
+    for (const auto& entry : store.list_disk()) {  // key order
+        if (entry.stage != "train") continue;
         try {
+            const auto artifact = store.read_trained(entry.key);
+            if (!artifact) throw std::runtime_error("entry has no manifest");
             const std::size_t before = size();
-            add(model::TrainedModel::load_file(path.string()), path.string());
+            add(*artifact->model, entry.path);
             added += size() > before;
         } catch (const std::exception& e) {
-            if (warn)
-                warn("skipping " + path.string() + ": " + e.what());
+            if (warn) warn("skipping " + entry.path + ": " + e.what());
         }
     }
     return added;

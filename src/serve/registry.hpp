@@ -14,10 +14,11 @@
 // Models come from three places:
 //   * add()        - an in-memory TrainedModel (tests, train-then-serve),
 //   * load_file()  - a .tm file on disk,
-//   * the PR-2 ArtifactStore: scan_store() walks the train tier
-//     (<cache_dir>/train/<key16>/model.tm) once, indexing every cached
-//     model by content hash, so `load <hash>` hot-loads any model a sweep
-//     ever trained without retraining or re-pathing anything.
+//   * the ArtifactStore: scan_store() lists the store's train entries and
+//     reads each through the store's own verified reader (manifest, CRCs,
+//     decode), indexing every cached model by content hash, so `load
+//     <hash>` hot-loads any model a sweep ever trained without retraining
+//     or re-pathing anything.  A corrupt entry is skipped, never served.
 //
 // Degraded mode: every hot-load / swap target carries a per-model
 // error-budget circuit breaker.  A failed load (corrupt .tm, missing store
@@ -74,9 +75,10 @@ public:
     /// missing/corrupt file (TrainedModel::load_file's diagnosis).
     std::shared_ptr<const ServableModel> load_file(const std::string& path);
 
-    /// Walk the artifact store's train tier and register every readable
-    /// model.  Unreadable entries are skipped and reported through `warn`.
-    /// Returns the number of models the scan added.
+    /// Register every model in the artifact store's train tier, read and
+    /// verified by the store itself.  Entries that fail the store's checks
+    /// are skipped and reported through `warn`.  Returns the number of
+    /// models the scan added.
     std::size_t scan_store(
         const std::function<void(const std::string&)>& warn = {});
 

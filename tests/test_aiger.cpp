@@ -160,6 +160,17 @@ TEST(Aiger, HcbNetlistsRoundTrip) {
         expect_equivalent(hcb.aig, back);
         const auto blob = logic::write_aiger_binary(hcb.aig);
         EXPECT_EQ(logic::write_aiger_binary(logic::read_aiger(blob)), blob);
+        // Read under the design's strash flag, an HCB keeps the flag and
+        // every node (fanins, PI ordinals): the store's disk tier relies on
+        // both.
+        const auto same = logic::read_aiger(blob, /*strash=*/true);
+        EXPECT_TRUE(same.strash_enabled());
+        ASSERT_EQ(same.num_nodes(), hcb.aig.num_nodes());
+        for (std::uint32_t n = 1; n < same.num_nodes(); ++n) {
+            EXPECT_EQ(same.is_pi(n), hcb.aig.is_pi(n)) << n;
+            EXPECT_EQ(same.node_fanin0(n), hcb.aig.node_fanin0(n)) << n;
+            EXPECT_EQ(same.node_fanin1(n), hcb.aig.node_fanin1(n)) << n;
+        }
     }
 }
 

@@ -1,6 +1,7 @@
 // Tests for the two-tier, stage-scoped ArtifactStore: key slices, memory
 // single-flight, disk persistence across store instances ("process
-// restarts"), byte-identical RTL rehydration, and corrupt-entry handling.
+// restarts"), byte-identical RTL rehydration, and corrupt-entry handling
+// by the entry codec (manifest, CRCs, per-kind decode).
 #include "core/artifact_store.hpp"
 
 #include <gtest/gtest.h>
@@ -14,6 +15,9 @@
 #include "core/pipeline.hpp"
 #include "core/sweep.hpp"
 #include "data/synthetic.hpp"
+#include "lint/lint.hpp"
+#include "logic/aiger.hpp"
+#include "util/crc32.hpp"
 
 namespace fs = std::filesystem;
 
@@ -68,6 +72,46 @@ std::string slurp(const fs::path& p) {
     std::ostringstream ss;
     ss << in.rdbuf();
     return ss.str();
+}
+
+void spit(const fs::path& p, const std::string& bytes) {
+    std::ofstream(p, std::ios::binary) << bytes;
+}
+
+/// The one generate entry of a cache directory.
+fs::path only_generate_entry(const fs::path& cache) {
+    std::vector<fs::path> entries;
+    for (const auto& e : fs::directory_iterator(cache / "generate"))
+        entries.push_back(e.path());
+    EXPECT_EQ(entries.size(), 1u);
+    return entries.empty() ? fs::path() : entries[0];
+}
+
+/// Replace `file`'s bytes and rewrite its manifest CRC line to match, so
+/// only the kind's decode can tell.
+void replace_payload_keeping_crc(const fs::path& entry, const std::string& file,
+                                 const std::string& bytes) {
+    const std::string old_crc = util::crc32_hex(util::crc32(slurp(entry / file)));
+    spit(entry / file, bytes);
+    std::string manifest = slurp(entry / "manifest.txt");
+    const std::string line = "crc " + file + " ";
+    const auto pos = manifest.find(line + old_crc);
+    ASSERT_NE(pos, std::string::npos) << manifest;
+    manifest.replace(pos + line.size(), old_crc.size(),
+                     util::crc32_hex(util::crc32(bytes)));
+    spit(entry / "manifest.txt", manifest);
+}
+
+/// True when some generate-stage warning of `ctx` says "recomputing" (and
+/// contains `what`).
+bool warned_recomputing(const CompileContext& ctx, const std::string& what = "") {
+    for (const auto& d : ctx.diagnostics)
+        if (d.severity == core::Diagnostic::Severity::kWarning &&
+            d.stage == StageKind::kGenerate &&
+            d.message.find("recomputing") != std::string::npos &&
+            d.message.find(what) != std::string::npos)
+            return true;
+    return false;
 }
 
 TrainedArtifact tiny_trained() {
@@ -327,6 +371,9 @@ TEST(ArtifactStoreDisk, CorruptModelFileIsSkippedWithWarningAndRepaired) {
 }
 
 TEST(ArtifactStoreDisk, FutureManifestVersionIsSkippedWithWarning) {
+    // A future version, and the two older ones this build no longer reads
+    // (v1 had no CRCs, v2 kept key/value records in the manifest): each is
+    // recomputed with one warning and rewritten as the current version.
     TempDir dir("future-version");
     {
         ArtifactStore store(dir.str());
@@ -334,20 +381,29 @@ TEST(ArtifactStoreDisk, FutureManifestVersionIsSkippedWithWarning) {
     }
     const fs::path manifest =
         dir.path / "train" / core::key_hex(9) / "manifest.txt";
-    std::string text = slurp(manifest);
-    text.replace(0, text.find('\n'), "MATADOR-ARTIFACT v9");
-    std::ofstream(manifest, std::ios::binary) << text;
+    for (const std::string version : {"v9", "v1", "v2"}) {
+        std::string text = slurp(manifest);
+        text.replace(0, text.find('\n'), "MATADOR-ARTIFACT " + version);
+        spit(manifest, text);
 
-    ArtifactStore fresh(dir.str());
-    std::vector<std::string> warnings;
-    ArtifactTier tier = ArtifactTier::kMemory;
-    fresh.get_or_compute_trained(9, [] { return tiny_trained(); }, &tier,
-                                 [&](const std::string& w) {
-                                     warnings.push_back(w);
-                                 });
-    EXPECT_EQ(tier, ArtifactTier::kNone);
-    ASSERT_EQ(warnings.size(), 1u);
-    EXPECT_NE(warnings[0].find("format v9"), std::string::npos) << warnings[0];
+        ArtifactStore fresh(dir.str());
+        std::vector<std::string> warnings;
+        ArtifactTier tier = ArtifactTier::kMemory;
+        fresh.get_or_compute_trained(9, [] { return tiny_trained(); }, &tier,
+                                     [&](const std::string& w) {
+                                         warnings.push_back(w);
+                                     });
+        EXPECT_EQ(tier, ArtifactTier::kNone) << version;
+        ASSERT_EQ(warnings.size(), 1u) << version;
+        EXPECT_NE(warnings[0].find("format " + version), std::string::npos)
+            << warnings[0];
+
+        // Repaired: the next store loads the rewritten entry from disk.
+        ArtifactStore again(dir.str());
+        tier = ArtifactTier::kNone;
+        again.get_or_compute_trained(9, [] { return TrainedArtifact{}; }, &tier);
+        EXPECT_EQ(tier, ArtifactTier::kDisk) << version;
+    }
 }
 
 TEST(ArtifactStoreDisk, ListAndClear) {
@@ -361,7 +417,8 @@ TEST(ArtifactStoreDisk, ListAndClear) {
     EXPECT_EQ(entries[0].stage, "train");
     EXPECT_EQ(entries[0].key_hex, core::key_hex(1));
     EXPECT_EQ(entries[1].key_hex, core::key_hex(2));
-    EXPECT_EQ(entries[0].files, 2u);  // manifest + model
+    EXPECT_EQ(entries[0].files, 3u);  // manifest + model.tm + record.json
+    EXPECT_EQ(entries[0].payloads.size(), 2u);
     EXPECT_GT(entries[0].bytes, 0u);
 
     const auto freed = store.clear_disk();
@@ -440,22 +497,14 @@ TEST(ArtifactStoreDisk, PoisonedRtlEntryIsSkippedWithWarningNotACrash) {
     const CompileContext first = Pipeline(cfg).run(split.train, split.test);
     ASSERT_TRUE(first.ok()) << core::format_diagnostics(first);
 
-    // Poison one cached HCB: flip an operator so the text parses but no
-    // longer matches its own re-emission (caught by the byte-identity
-    // roundtrip check).
-    bool poisoned = false;
-    for (const auto& e :
-         fs::recursive_directory_iterator(cache.path / "generate")) {
-        if (e.path().extension() != ".v") continue;
-        std::string text = slurp(e.path());
-        const auto pos = text.find(" & ");
-        if (pos == std::string::npos) continue;
-        text.replace(pos, 3, " | ");
-        std::ofstream(e.path(), std::ios::binary) << text;
-        poisoned = true;
-        break;
-    }
-    ASSERT_TRUE(poisoned) << "no cached HCB RTL with an AND found";
+    // Poison one cached HCB: flip one byte of its AIGER payload.  The
+    // manifest's CRC of the file no longer matches, so the entry is
+    // rejected before any payload is decoded.
+    const fs::path aig = only_generate_entry(cache.path) / "hcb_0.aig";
+    std::string bytes = slurp(aig);
+    ASSERT_GT(bytes.size(), 16u);
+    bytes[bytes.size() - 1] ^= char(0x01);
+    spit(aig, bytes);
 
     const CompileContext second = Pipeline(cfg).run(split.train, split.test);
     // Train still rehydrates; generate must detect the corruption, warn,
@@ -463,53 +512,104 @@ TEST(ArtifactStoreDisk, PoisonedRtlEntryIsSkippedWithWarningNotACrash) {
     EXPECT_EQ(second.record(StageKind::kTrain).status, StageStatus::kCached);
     EXPECT_EQ(second.record(StageKind::kGenerate).status, StageStatus::kOk);
     ASSERT_TRUE(second.ok()) << core::format_diagnostics(second);
-    bool warned = false;
-    for (const auto& d : second.diagnostics)
-        if (d.severity == core::Diagnostic::Severity::kWarning &&
-            d.stage == StageKind::kGenerate &&
-            d.message.find("recomputing") != std::string::npos)
-            warned = true;
-    EXPECT_TRUE(warned) << core::format_diagnostics(second);
+    EXPECT_TRUE(warned_recomputing(second, "CRC mismatch"))
+        << core::format_diagnostics(second);
 }
 
-TEST(ArtifactStoreDisk, HugeManifestCountIsCorruptionNotAnAllocation) {
-    // A bit-rotted length field must yield the warn-and-recompute path,
-    // not a length_error/bad_alloc that fails the stage forever.
-    TempDir cache("huge-count-cache");
+TEST(ArtifactStoreDisk, CorruptGenerateManifestLineIsSkippedAndHealed) {
+    // A bit-rotted manifest line must yield the warn-and-recompute path,
+    // never a read outside the entry or a stage that fails forever.
+    TempDir cache("corrupt-line-cache");
     const auto split = small_split();
 
     FlowConfig cfg = small_config();
     cfg.cache_dir = cache.str();
     ASSERT_TRUE(Pipeline(cfg).run(split.train, split.test).ok());
 
-    bool poisoned = false;
-    for (const auto& e :
-         fs::recursive_directory_iterator(cache.path / "generate")) {
-        if (e.path().filename() != "manifest.txt") continue;
-        std::string text = slurp(e.path());
-        const auto pos = text.find("active ");
+    // The first crc line becomes: a payload name that leaves the entry, the
+    // record line a v2 manifest carried, and a crc line with no CRC.
+    for (const std::string bad : {"crc ../record.json 00000000",
+                                  "active 18446744073709000000", "crc hcb_0.aig"}) {
+        const fs::path manifest = only_generate_entry(cache.path) / "manifest.txt";
+        std::string text = slurp(manifest);
+        const auto pos = text.find("\ncrc ");
         ASSERT_NE(pos, std::string::npos);
-        const auto eol = text.find('\n', pos);
-        text.replace(pos, eol - pos, "active 18446744073709000000");
-        std::ofstream(e.path(), std::ios::binary) << text;
-        poisoned = true;
-        break;
+        const auto eol = text.find('\n', pos + 1);
+        text.replace(pos + 1, eol - pos - 1, bad);
+        spit(manifest, text);
+
+        const CompileContext ctx = Pipeline(cfg).run(split.train, split.test);
+        ASSERT_TRUE(ctx.ok()) << core::format_diagnostics(ctx);
+        EXPECT_EQ(ctx.record(StageKind::kGenerate).status, StageStatus::kOk) << bad;
+        EXPECT_TRUE(warned_recomputing(ctx, "corrupt manifest line"))
+            << core::format_diagnostics(ctx);
+
+        // The recompute repaired the entry: the next run is cached again.
+        const CompileContext healed = Pipeline(cfg).run(split.train, split.test);
+        EXPECT_EQ(healed.record(StageKind::kGenerate).status, StageStatus::kCached)
+            << bad;
     }
-    ASSERT_TRUE(poisoned);
+}
 
-    const CompileContext ctx = Pipeline(cfg).run(split.train, split.test);
-    ASSERT_TRUE(ctx.ok()) << core::format_diagnostics(ctx);
-    EXPECT_EQ(ctx.record(StageKind::kGenerate).status, StageStatus::kOk);
-    bool warned = false;
-    for (const auto& d : ctx.diagnostics)
-        if (d.stage == StageKind::kGenerate &&
-            d.message.find("recomputing") != std::string::npos)
-            warned = true;
-    EXPECT_TRUE(warned) << core::format_diagnostics(ctx);
+TEST(ArtifactStoreDisk, ForeignAigerPayloadFailsDecodeAndIsRepaired) {
+    // Valid AIGER that is not what the entry's writer produced, with its
+    // CRC line fixed up so only the generate decode can reject it: the same
+    // HCB in ascii form (it does not re-export to its own bytes), and a
+    // canonical one-gate AIG (it does not fit the HCB's spec).
+    TempDir cache("foreign-aiger-cache");
+    const auto split = small_split();
 
-    // The recompute repaired the entry: the next run is cached again.
-    const CompileContext healed = Pipeline(cfg).run(split.train, split.test);
-    EXPECT_EQ(healed.record(StageKind::kGenerate).status, StageStatus::kCached);
+    FlowConfig cfg = small_config();
+    cfg.cache_dir = cache.str();
+    const CompileContext first = Pipeline(cfg).run(split.train, split.test);
+    ASSERT_TRUE(first.ok()) << core::format_diagnostics(first);
+
+    const fs::path entry = only_generate_entry(cache.path);
+    const std::string ascii =
+        logic::write_aiger_ascii(logic::read_aiger(slurp(entry / "hcb_0.aig")));
+    for (const std::string& foreign : {ascii, std::string("aig 1 1 0 1 0\n2\n")}) {
+        replace_payload_keeping_crc(entry, "hcb_0.aig", foreign);
+
+        const CompileContext ctx = Pipeline(cfg).run(split.train, split.test);
+        ASSERT_TRUE(ctx.ok()) << core::format_diagnostics(ctx);
+        EXPECT_EQ(ctx.record(StageKind::kGenerate).status, StageStatus::kOk);
+        EXPECT_TRUE(warned_recomputing(ctx, "hcb_0.aig"))
+            << core::format_diagnostics(ctx);
+        EXPECT_FALSE(warned_recomputing(ctx, "CRC mismatch"))
+            << core::format_diagnostics(ctx);
+        EXPECT_EQ(ctx.hcb_mapped_luts, first.hcb_mapped_luts);
+
+        // Repaired: the next run is served from disk.
+        const CompileContext healed = Pipeline(cfg).run(split.train, split.test);
+        EXPECT_EQ(healed.record(StageKind::kGenerate).tier, ArtifactTier::kDisk);
+    }
+}
+
+TEST(ArtifactStoreDisk, DiskServedHcbsKeepTheirStrashFlag) {
+    // Lint maps LUTs only for AIGs built with strash, so HCBs served from
+    // disk must come back with the design's own flag: with the lint tier
+    // deleted, lint recomputes on disk-served HCBs and must report exactly
+    // what the fresh run reported.
+    const auto split = small_split();
+    for (const bool strash : {true, false}) {
+        TempDir cache(strash ? "strash-on-cache" : "strash-off-cache");
+        FlowConfig cfg = small_config();
+        cfg.strash = strash;
+        cfg.cache_dir = cache.str();
+        const CompileContext fresh = Pipeline(cfg).run(split.train, split.test);
+        ASSERT_TRUE(fresh.ok()) << core::format_diagnostics(fresh);
+        ASSERT_TRUE(fresh.lint_report);
+
+        fs::remove_all(cache.path / "lint");
+        const CompileContext served = Pipeline(cfg).run(split.train, split.test);
+        ASSERT_TRUE(served.ok()) << core::format_diagnostics(served);
+        EXPECT_EQ(served.record(StageKind::kGenerate).tier, ArtifactTier::kDisk);
+        ASSERT_TRUE(served.lint_report);
+        EXPECT_EQ(lint::lint_report_to_json(*served.lint_report).dump(),
+                  lint::lint_report_to_json(*fresh.lint_report).dump())
+            << "strash=" << strash;
+        EXPECT_EQ(served.lint_report->stats.luts.luts > 0, strash);
+    }
 }
 
 // ---------------------------------------------------------------------------

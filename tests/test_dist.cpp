@@ -278,7 +278,9 @@ TEST(SweepJson, FailedPointsSerializeToo) {
 
 TEST(ShardRunner, SingleShardDrainsQueueAndMergeMatchesInProcessSweep) {
     const auto split = small_split();
-    const auto grid = small_grid();
+    // With the SAT rung on, so that every store stage has counters to merge.
+    auto grid = small_grid();
+    for (auto& cfg : grid) cfg.verify_sat = true;
     const auto dir = fresh_cache_dir("merge_equiv");
 
     // Reference: plain in-process sweep with a private memory-only store.
@@ -298,12 +300,19 @@ TEST(ShardRunner, SingleShardDrainsQueueAndMergeMatchesInProcessSweep) {
     // clock-only variants dedupe through the generate cache.
     EXPECT_EQ(report.store_stats.train.misses, 1u);
     EXPECT_EQ(report.store_stats.generate.misses, 2u);
+    EXPECT_EQ(report.store_stats.lint.misses, 2u);
+    EXPECT_EQ(report.store_stats.proof.misses, 2u);
+    const auto reread = dist::shard_report_from_json(
+        util::Json::parse(dist::shard_report_to_json(report).dump()));
+    EXPECT_EQ(reread.store_stats.proof.misses, 2u);
+    EXPECT_EQ(reread.store_stats.proof.disk_entries, 2u);
 
     // A late shard joining a drained queue finds nothing and reports so.
     const auto late =
         dist::run_shard(split.train, split.test, grid, dir, "s1", options);
     EXPECT_EQ(late.points_run, 0u);
     EXPECT_EQ(late.store_stats.train.misses, 0u);
+    EXPECT_EQ(late.store_stats.proof.misses, 0u);
 
     const auto merged = dist::merge_sweep(dir);
     ASSERT_TRUE(merged.complete());
@@ -320,9 +329,13 @@ TEST(ShardRunner, SingleShardDrainsQueueAndMergeMatchesInProcessSweep) {
     EXPECT_EQ(merged.shards.size(), 2u);
     EXPECT_EQ(merged.result.store_stats.train.misses, 1u);
     EXPECT_EQ(merged.result.store_stats.generate.misses, 2u);
+    EXPECT_EQ(merged.result.store_stats.lint.misses, 2u);
+    EXPECT_EQ(merged.result.store_stats.proof.misses, 2u);
     // ...and disk entry counts re-scanned from the store itself.
     EXPECT_EQ(merged.result.store_stats.train.disk_entries, 1u);
     EXPECT_EQ(merged.result.store_stats.generate.disk_entries, 2u);
+    EXPECT_EQ(merged.result.store_stats.lint.disk_entries, 2u);
+    EXPECT_EQ(merged.result.store_stats.proof.disk_entries, 2u);
     fs::remove_all(dir);
 }
 

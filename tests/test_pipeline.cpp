@@ -10,6 +10,7 @@
 
 #include "core/sweep.hpp"
 #include "data/synthetic.hpp"
+#include "util/json.hpp"
 
 namespace {
 
@@ -454,6 +455,48 @@ TEST(Sweep, BackendOnlySweepTrainsExactlyOnce) {
                      sr.points[1].result.test_accuracy);
     EXPECT_NE(sr.points[0].result.arch.plan.bus_width,
               sr.points[1].result.arch.plan.bus_width);
+}
+
+TEST(Sweep, StoreStatsOfEveryStageSurviveJson) {
+    // With the SAT rung on, all four stages count: the proof tier's misses
+    // and disk entries must reach the sweep document and come back.
+    const auto split = small_split();
+    const auto dir = std::filesystem::temp_directory_path() /
+                     "matador_sweep_stats_cache";
+    std::filesystem::remove_all(dir);
+    FlowConfig base = small_config();
+    base.skip_rtl_verification = true;
+    base.verify_sat = true;
+    base.cache_dir = dir.string();
+    const auto grid = core::expand_grid(base, {{"bus_width", {"8", "16"}}});
+
+    const auto sr = Pipeline::sweep(split.train, split.test, grid, {});
+    for (const auto& p : sr.points) EXPECT_TRUE(p.ok);
+    EXPECT_EQ(sr.store_stats.train.misses, 1u);
+    EXPECT_EQ(sr.store_stats.lint.misses, 2u);
+    EXPECT_EQ(sr.store_stats.proof.misses, 2u);
+    EXPECT_EQ(sr.store_stats.proof.disk_entries, 2u);
+
+    const auto back = core::sweep_result_from_json(
+        util::Json::parse(core::sweep_result_to_json(sr).dump()));
+    sr.store_stats.for_each([&](const char* stage, const ArtifactStore::TierStats& t) {
+        const ArtifactStore::TierStats& b = back.store_stats[stage];
+        EXPECT_EQ(b.misses, t.misses) << stage;
+        EXPECT_EQ(b.memory_hits, t.memory_hits) << stage;
+        EXPECT_EQ(b.disk_hits, t.disk_hits) << stage;
+        EXPECT_EQ(b.memory_entries, t.memory_entries) << stage;
+        EXPECT_EQ(b.disk_entries, t.disk_entries) << stage;
+    });
+    EXPECT_EQ(back.store_stats.proof.disk_entries, 2u);
+
+    // A document from before the proof tier was counted still reads.
+    util::Json older = util::Json::object();
+    older.set("train", core::store_stats_to_json(sr.store_stats).at("train"));
+    older.set("generate", core::store_stats_to_json(sr.store_stats).at("generate"));
+    const auto old_stats = core::store_stats_from_json(older);
+    EXPECT_EQ(old_stats.train.misses, 1u);
+    EXPECT_EQ(old_stats.proof.misses, 0u);
+    std::filesystem::remove_all(dir);
 }
 
 TEST(Sweep, DeterministicAcrossThreadCounts) {

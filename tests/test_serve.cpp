@@ -9,6 +9,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -161,18 +162,35 @@ TEST(ModelRegistry, RemoveDropsAliasesButNotInFlightHandles) {
 }
 
 TEST(ModelRegistry, ScanStoreIndexesTrainTier) {
+    // Three train entries written by the store itself; in the third, one
+    // digit of model.tm is changed afterwards.  The scan reads entries
+    // through the store's checks, so the tampered model is skipped rather
+    // than served under a hash nobody trained.
     const auto dir = fresh_dir("scan");
     const auto m1 = random_model(20, 2, 5, 6);
     const auto m2 = random_model(20, 2, 5, 7);
-    fs::create_directories(fs::path(dir) / "train" / "aaaa");
-    fs::create_directories(fs::path(dir) / "train" / "bbbb");
-    fs::create_directories(fs::path(dir) / "train" / "corrupt");
-    m1.save_file((fs::path(dir) / "train" / "aaaa" / "model.tm").string());
-    m2.save_file((fs::path(dir) / "train" / "bbbb" / "model.tm").string());
+    const auto m3 = random_model(20, 2, 5, 8);
     {
-        std::ofstream bad(fs::path(dir) / "train" / "corrupt" / "model.tm");
-        bad << "not a model";
+        core::ArtifactStore store(dir);
+        std::uint64_t key = 1;
+        for (const auto* m : {&m1, &m2, &m3})
+            store.get_or_compute_trained(key++, [&] {
+                core::TrainedArtifact a;
+                a.model = std::make_shared<model::TrainedModel>(*m);
+                return a;
+            });
     }
+    const fs::path tampered =
+        fs::path(dir) / "train" / core::key_hex(3) / "model.tm";
+    std::string text;
+    {
+        std::ifstream in(tampered, std::ios::binary);
+        text.assign(std::istreambuf_iterator<char>(in), {});
+    }
+    const auto pos = text.find_first_of("0123456789", text.find("pos "));
+    ASSERT_NE(pos, std::string::npos);
+    text[pos] = text[pos] == '1' ? '2' : '1';
+    std::ofstream(tampered, std::ios::binary) << text;
 
     ModelRegistry reg(dir);
     std::vector<std::string> warnings;
@@ -181,8 +199,11 @@ TEST(ModelRegistry, ScanStoreIndexesTrainTier) {
     }), 2u);
     EXPECT_EQ(reg.size(), 2u);
     ASSERT_EQ(warnings.size(), 1u);
-    EXPECT_NE(warnings[0].find("corrupt"), std::string::npos);
+    EXPECT_NE(warnings[0].find("CRC mismatch"), std::string::npos) << warnings[0];
+    EXPECT_NE(warnings[0].find(core::key_hex(3)), std::string::npos) << warnings[0];
     EXPECT_NO_THROW(reg.resolve(core::key_hex(m1.content_hash())));
+    EXPECT_NO_THROW(reg.resolve(core::key_hex(m2.content_hash())));
+    EXPECT_THROW(reg.resolve(core::key_hex(m3.content_hash())), ServeError);
     // Idempotent: a rescan adds nothing.
     EXPECT_EQ(reg.scan_store(), 0u);
     fs::remove_all(dir);

@@ -1062,16 +1062,14 @@ bool print_sweep_result(const core::SweepResult& sr,
     std::cout << core::format_table(groups);
     std::printf("\n%zu design points, %u threads, %.2f s wall\n",
                 sr.points.size(), sr.threads_used, sr.wall_seconds);
-    const auto tier_line = [](const char* stage,
-                              const core::ArtifactStore::TierStats& t) {
-        std::printf(
-            "%s cache: misses=%zu mem_hits=%zu disk_hits=%zu "
-            "(entries: mem=%zu disk=%zu)\n",
-            stage, t.misses, t.memory_hits, t.disk_hits, t.memory_entries,
-            t.disk_entries);
-    };
-    tier_line("train", sr.store_stats.train);
-    tier_line("generate", sr.store_stats.generate);
+    sr.store_stats.for_each(
+        [](const char* stage, const core::ArtifactStore::TierStats& t) {
+            std::printf(
+                "%s cache: misses=%zu mem_hits=%zu disk_hits=%zu "
+                "(entries: mem=%zu disk=%zu)\n",
+                stage, t.misses, t.memory_hits, t.disk_hits, t.memory_entries,
+                t.disk_entries);
+        });
     return all_ok;
 }
 
@@ -1327,32 +1325,18 @@ int cmd_cache(const CliArgs& args, const core::FlowConfig& cfg) {
     }
 
     // stats
-    std::size_t train_n = 0, gen_n = 0, lint_n = 0, proof_n = 0;
-    std::uintmax_t train_b = 0, gen_b = 0, lint_b = 0, proof_b = 0;
-    for (const auto& e : entries) {
-        if (e.stage == "train") {
-            train_n++;
-            train_b += e.bytes;
-        } else if (e.stage == "lint") {
-            lint_n++;
-            lint_b += e.bytes;
-        } else if (e.stage == "proof") {
-            proof_n++;
-            proof_b += e.bytes;
-        } else {
-            gen_n++;
-            gen_b += e.bytes;
-        }
-    }
     std::printf("artifact store: %s\n", cfg.cache_dir.c_str());
-    std::printf("  train:    %zu entries, %ju bytes\n", train_n,
-                std::uintmax_t(train_b));
-    std::printf("  generate: %zu entries, %ju bytes\n", gen_n,
-                std::uintmax_t(gen_b));
-    std::printf("  lint:     %zu entries, %ju bytes\n", lint_n,
-                std::uintmax_t(lint_b));
-    std::printf("  proof:    %zu entries, %ju bytes\n", proof_n,
-                std::uintmax_t(proof_b));
+    for (const char* stage : core::ArtifactStore::kStages) {
+        std::size_t n = 0;
+        std::uintmax_t bytes = 0;
+        for (const auto& e : entries)
+            if (e.stage == stage) {
+                n++;
+                bytes += e.bytes;
+            }
+        std::printf("  %-9s %zu entries, %ju bytes\n",
+                    (std::string(stage) + ":").c_str(), n, bytes);
+    }
     return 0;
 }
 
