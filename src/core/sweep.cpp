@@ -137,11 +137,11 @@ double get_f64(const Json& j, const std::string& key) {
 }
 
 std::size_t get_size(const Json& j, const std::string& key) {
-    return std::size_t(j.at(key).as_double());
+    return j.at(key).as_count();
 }
 
 unsigned get_u32(const Json& j, const std::string& key) {
-    return unsigned(j.at(key).as_double());
+    return unsigned(j.at(key).as_count(std::numeric_limits<std::uint32_t>::max()));
 }
 
 bool get_bool(const Json& j, const std::string& key) {

@@ -1,5 +1,6 @@
 #include "data/dataset.hpp"
 
+#include <cstdio>
 #include <numeric>
 #include <stdexcept>
 #include <utility>
@@ -39,6 +40,13 @@ void shuffle(Dataset& ds, std::uint64_t seed) {
 }
 
 Split train_test_split(const Dataset& ds, double train_fraction, std::uint64_t seed) {
+    // NaN fails both comparisons, so it is refused with the rest.
+    if (!(train_fraction >= 0.0 && train_fraction <= 1.0)) {
+        char message[80];
+        std::snprintf(message, sizeof message,
+                      "train fraction must be in [0, 1], got %g", train_fraction);
+        throw std::invalid_argument(message);
+    }
     Dataset copy = ds;
     shuffle(copy, seed);
     const auto n_train = std::size_t(double(copy.size()) * train_fraction);

@@ -45,7 +45,8 @@ struct Split {
 void shuffle(Dataset& ds, std::uint64_t seed);
 
 /// Split into train/test with `train_fraction` of examples in train
-/// (after an internal shuffle with `seed`).
+/// (after an internal shuffle with `seed`).  Throws std::invalid_argument
+/// unless `train_fraction` is in [0, 1].
 Split train_test_split(const Dataset& ds, double train_fraction, std::uint64_t seed);
 
 }  // namespace matador::data

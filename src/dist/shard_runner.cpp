@@ -5,6 +5,7 @@
 #include <condition_variable>
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
@@ -61,10 +62,11 @@ ShardReport shard_report_from_json(const util::Json& j) {
         throw std::runtime_error("shard report: wrong document format");
     ShardReport r;
     r.owner = j.at("owner").as_string();
-    r.points_run = std::size_t(j.at("points_run").as_double());
-    r.points_stolen = std::size_t(j.at("points_stolen").as_double());
-    r.points_failed = std::size_t(j.at("points_failed").as_double());
-    r.threads_used = unsigned(j.at("threads_used").as_double());
+    r.points_run = j.at("points_run").as_count();
+    r.points_stolen = j.at("points_stolen").as_count();
+    r.points_failed = j.at("points_failed").as_count();
+    r.threads_used = unsigned(j.at("threads_used").as_count(
+        std::numeric_limits<std::uint32_t>::max()));
     r.wall_seconds = j.at("wall_seconds").as_double();
     r.store_stats = core::store_stats_from_json(j.at("store_stats"));
     if (j.contains("in_progress")) r.in_progress = j.at("in_progress").as_bool();

@@ -142,7 +142,6 @@ constexpr const char* kFormat = "matador-lint-report";
 constexpr int kVersion = 1;
 
 util::Json num(std::size_t v) { return util::Json(double(v)); }
-std::size_t as_size(const util::Json& j) { return std::size_t(j.as_double()); }
 }  // namespace
 
 util::Json lint_report_to_json(const LintReport& r) {
@@ -207,9 +206,10 @@ LintReport lint_report_from_json(const util::Json& j) {
     if (!j.is_object() || !j.contains("format") ||
         j.at("format").as_string() != kFormat)
         throw std::runtime_error("lint report: unrecognized format");
-    if (int(j.at("version").as_double()) != kVersion)
+    const std::size_t version = j.at("version").as_count();
+    if (version != kVersion)
         throw std::runtime_error("lint report: unsupported version " +
-                                 std::to_string(int(j.at("version").as_double())));
+                                 std::to_string(version));
     LintReport r;
     for (const auto& fj : j.at("findings").as_array()) {
         Finding f;
@@ -226,34 +226,34 @@ LintReport lint_report_from_json(const util::Json& j) {
     }
     const auto& stats = j.at("stats");
     const auto& modules = stats.at("modules");
-    r.stats.modules.modules = as_size(modules.at("modules"));
-    r.stats.modules.ports = as_size(modules.at("ports"));
-    r.stats.modules.nets = as_size(modules.at("nets"));
-    r.stats.modules.assigns = as_size(modules.at("assigns"));
-    r.stats.modules.always_blocks = as_size(modules.at("always_blocks"));
-    r.stats.modules.instances = as_size(modules.at("instances"));
+    r.stats.modules.modules = modules.at("modules").as_count();
+    r.stats.modules.ports = modules.at("ports").as_count();
+    r.stats.modules.nets = modules.at("nets").as_count();
+    r.stats.modules.assigns = modules.at("assigns").as_count();
+    r.stats.modules.always_blocks = modules.at("always_blocks").as_count();
+    r.stats.modules.instances = modules.at("instances").as_count();
     const auto& aig = stats.at("aig");
-    r.stats.aig.aigs = as_size(aig.at("aigs"));
-    r.stats.aig.pis = as_size(aig.at("pis"));
-    r.stats.aig.pos = as_size(aig.at("pos"));
-    r.stats.aig.ands = as_size(aig.at("ands"));
-    r.stats.aig.dead_ands = as_size(aig.at("dead_ands"));
-    r.stats.aig.unused_pis = as_size(aig.at("unused_pis"));
-    r.stats.aig.max_depth = as_size(aig.at("max_depth"));
-    r.stats.aig.max_fanout = as_size(aig.at("max_fanout"));
+    r.stats.aig.aigs = aig.at("aigs").as_count();
+    r.stats.aig.pis = aig.at("pis").as_count();
+    r.stats.aig.pos = aig.at("pos").as_count();
+    r.stats.aig.ands = aig.at("ands").as_count();
+    r.stats.aig.dead_ands = aig.at("dead_ands").as_count();
+    r.stats.aig.unused_pis = aig.at("unused_pis").as_count();
+    r.stats.aig.max_depth = aig.at("max_depth").as_count();
+    r.stats.aig.max_fanout = aig.at("max_fanout").as_count();
     const auto& luts = stats.at("luts");
-    r.stats.luts.networks = as_size(luts.at("networks"));
-    r.stats.luts.luts = as_size(luts.at("luts"));
-    r.stats.luts.dead_luts = as_size(luts.at("dead_luts"));
-    r.stats.luts.const_luts = as_size(luts.at("const_luts"));
-    r.stats.luts.duplicate_luts = as_size(luts.at("duplicate_luts"));
-    r.stats.luts.max_depth = as_size(luts.at("max_depth"));
-    r.stats.luts.max_fanout = as_size(luts.at("max_fanout"));
+    r.stats.luts.networks = luts.at("networks").as_count();
+    r.stats.luts.luts = luts.at("luts").as_count();
+    r.stats.luts.dead_luts = luts.at("dead_luts").as_count();
+    r.stats.luts.const_luts = luts.at("const_luts").as_count();
+    r.stats.luts.duplicate_luts = luts.at("duplicate_luts").as_count();
+    r.stats.luts.max_depth = luts.at("max_depth").as_count();
+    r.stats.luts.max_fanout = luts.at("max_fanout").as_count();
     const auto& ternary = stats.at("ternary");
-    r.stats.x_outputs_checked = as_size(ternary.at("outputs_checked"));
-    r.stats.x_proved_structural = as_size(ternary.at("proved_structural"));
-    r.stats.x_proved_exhaustive = as_size(ternary.at("proved_exhaustive"));
-    r.stats.x_lanes_simulated = as_size(ternary.at("lanes_simulated"));
+    r.stats.x_outputs_checked = ternary.at("outputs_checked").as_count();
+    r.stats.x_proved_structural = ternary.at("proved_structural").as_count();
+    r.stats.x_proved_exhaustive = ternary.at("proved_exhaustive").as_count();
+    r.stats.x_lanes_simulated = ternary.at("lanes_simulated").as_count();
     return r;
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 
@@ -389,12 +390,12 @@ util::Json stats_to_json(const SolverStats& s) {
 
 SolverStats stats_from_json(const util::Json& j) {
     SolverStats s;
-    s.decisions = std::uint64_t(j.at("decisions").as_double());
-    s.propagations = std::uint64_t(j.at("propagations").as_double());
-    s.conflicts = std::uint64_t(j.at("conflicts").as_double());
-    s.learned_clauses = std::uint64_t(j.at("learned_clauses").as_double());
-    s.learned_literals = std::uint64_t(j.at("learned_literals").as_double());
-    s.restarts = std::uint64_t(j.at("restarts").as_double());
+    s.decisions = j.at("decisions").as_count();
+    s.propagations = j.at("propagations").as_count();
+    s.conflicts = j.at("conflicts").as_count();
+    s.learned_clauses = j.at("learned_clauses").as_count();
+    s.learned_literals = j.at("learned_literals").as_count();
+    s.restarts = j.at("restarts").as_count();
     return s;
 }
 
@@ -459,20 +460,21 @@ util::Json prove_report_to_json(const ProveReport& r) {
 ProveReport prove_report_from_json(const util::Json& j) {
     if (!j.is_object() || !j.contains("format") || j.at("format").as_string() != kFormat)
         throw std::runtime_error("not a matador-prove-report document");
-    if (unsigned(j.at("version").as_double()) > kVersion)
+    if (j.at("version").as_count() > kVersion)
         throw std::runtime_error("prove report: unsupported future version");
     ProveReport r;
     r.equivalent = j.at("equivalent").as_bool();
-    r.outputs_total = std::size_t(j.at("outputs_total").as_double());
-    r.outputs_proved = std::size_t(j.at("outputs_proved").as_double());
-    r.outputs_failed = std::size_t(j.at("outputs_failed").as_double());
-    r.outputs_unknown = std::size_t(j.at("outputs_unknown").as_double());
+    r.outputs_total = j.at("outputs_total").as_count();
+    r.outputs_proved = j.at("outputs_proved").as_count();
+    r.outputs_failed = j.at("outputs_failed").as_count();
+    r.outputs_unknown = j.at("outputs_unknown").as_count();
     for (const auto& o : j.at("outputs").as_array()) {
         OutputProof p;
-        p.hcb = std::size_t(o.at("hcb").as_double());
-        p.local_output = std::size_t(o.at("local_output").as_double());
-        p.output = std::size_t(o.at("output").as_double());
-        p.clause_id = std::uint32_t(o.at("clause_id").as_double());
+        p.hcb = o.at("hcb").as_count();
+        p.local_output = o.at("local_output").as_count();
+        p.output = o.at("output").as_count();
+        p.clause_id = std::uint32_t(
+            o.at("clause_id").as_count(std::numeric_limits<std::uint32_t>::max()));
         p.result = result_from_name(o.at("result").as_string());
         p.proof_checked = o.at("proof_checked").as_bool();
         p.cared_cube = o.at("cared_cube").as_bool();
@@ -483,14 +485,14 @@ ProveReport prove_report_from_json(const util::Json& j) {
         p.seconds = o.at("seconds").as_double();
         r.outputs.push_back(std::move(p));
     }
-    r.induction_k = std::size_t(j.at("induction_k").as_double());
-    r.chain_stages = std::size_t(j.at("chain_stages").as_double());
+    r.induction_k = j.at("induction_k").as_count();
+    r.chain_stages = j.at("chain_stages").as_count();
     r.induction_complete = j.at("induction_complete").as_bool();
     r.induction_ok = j.at("induction_ok").as_bool();
     for (const auto& o : j.at("induction").as_array()) {
         InductionCase c;
         c.is_base = o.at("is_base").as_bool();
-        c.index = std::size_t(o.at("index").as_double());
+        c.index = o.at("index").as_count();
         c.result = result_from_name(o.at("result").as_string());
         c.proof_checked = o.at("proof_checked").as_bool();
         c.stats = stats_from_json(o.at("stats"));

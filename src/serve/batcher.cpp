@@ -51,15 +51,12 @@ std::future<Reply> Batcher::submit(std::shared_ptr<const ServableModel> model,
                 metrics_->record_shed(req.model->hash_hex, "queue-full", depth);
             // Backoff hint: the expected time to drain the current queue at
             // the observed service rate (EWMA of per-request service time).
-            // Before the first block completes there is no rate yet; the
-            // batch-delay budget is the best available stand-in.
+            // Before the first block completes the EWMA is 0, so the hint
+            // is the clamp's 1 ms floor.
             const double per_request_us =
                 service_ewma_us_.load(std::memory_order_relaxed);
-            double retry_after_ms =
-                per_request_us > 0.0
-                    ? double(depth) * per_request_us / 1000.0
-                    : options_.max_batch_delay_ms + 1.0;
-            retry_after_ms = std::clamp(retry_after_ms, 1.0, 1000.0);
+            const double retry_after_ms = std::clamp(
+                double(depth) * per_request_us / 1000.0, 1.0, 1000.0);
             // A shed is a point on the timeline with its full context: why,
             // how deep the queue was, and which model took the hit.
             if (obs::TraceRecorder::instance().enabled()) {
@@ -83,64 +80,29 @@ std::future<Reply> Batcher::submit(std::shared_ptr<const ServableModel> model,
         TRACE_COUNTER("serve queue depth", depth);
         if (metrics_) metrics_->set_queue_depth(depth);
     }
-    // The dispatcher sleeps on an empty queue, or on a partial block until
-    // the queue holds kLanes requests; only those two steps can wake it.
-    if (depth == 1 || depth == kLanes) work_cv_.notify_one();
+    // The dispatcher sleeps only on an empty queue, so only the step from
+    // empty to one request can wake it.
+    if (depth == 1) work_cv_.notify_one();
     return future;
 }
 
-std::vector<Batcher::Block> Batcher::collect_ready_locked(
-    bool force, std::optional<Clock::time_point>* next_deadline) {
-    // Group the queue by servable, preserving per-model FIFO order.  The
+std::vector<Batcher::Block> Batcher::take_blocks_locked() {
+    // Group the queue by servable, preserving per-model FIFO order; a model
+    // whose current block holds kLanes requests starts a new one.  The
     // queue is at most max_queue_depth long, so the linear scan is cheap.
-    std::vector<Block> groups;
+    std::vector<Block> blocks;
     for (Request& req : queue_) {
-        Block* group = nullptr;
-        for (Block& g : groups)
-            if (g.model == req.model) group = &g;
-        if (!group) {
-            groups.push_back(Block{req.model, {}});
-            group = &groups.back();
+        Block* block = nullptr;
+        for (Block& b : blocks)
+            if (b.model == req.model && b.requests.size() < kLanes) block = &b;
+        if (!block) {
+            blocks.push_back(Block{req.model, {}});
+            block = &blocks.back();
         }
-        group->requests.push_back(std::move(req));
+        block->requests.push_back(std::move(req));
     }
     queue_.clear();
-
-    const auto delay = std::chrono::duration_cast<Clock::duration>(
-        std::chrono::duration<double, std::milli>(options_.max_batch_delay_ms));
-    const Clock::time_point now = Clock::now();
-
-    std::vector<Block> ready;
-    for (Block& g : groups) {
-        // Full 64-lane chunks are always ready; the partial tail waits
-        // until its oldest member exceeds the latency budget.
-        std::size_t begin = 0;
-        while (g.requests.size() - begin >= kLanes) {
-            Block b;
-            b.model = g.model;
-            b.requests.assign(std::make_move_iterator(g.requests.begin() + begin),
-                              std::make_move_iterator(g.requests.begin() + begin + kLanes));
-            ready.push_back(std::move(b));
-            begin += kLanes;
-        }
-        if (begin == g.requests.size()) continue;
-        const Clock::time_point flush_at = g.requests[begin].enqueued + delay;
-        if (force || flush_at <= now) {
-            Block b;
-            b.model = g.model;
-            b.requests.assign(std::make_move_iterator(g.requests.begin() + begin),
-                              std::make_move_iterator(g.requests.end()));
-            ready.push_back(std::move(b));
-        } else {
-            // Put the unready tail back, keeping arrival order.
-            for (std::size_t i = begin; i < g.requests.size(); ++i)
-                queue_.push_back(std::move(g.requests[i]));
-            if (next_deadline && (!next_deadline->has_value() ||
-                                  flush_at < **next_deadline))
-                *next_deadline = flush_at;
-        }
-    }
-    return ready;
+    return blocks;
 }
 
 void Batcher::execute_block(Block& block) const {
@@ -207,36 +169,16 @@ void Batcher::dispatcher_loop() {
     obs::set_thread_name("serve-dispatcher");
     std::unique_lock<std::mutex> lock(mu_);
     for (;;) {
-        work_cv_.wait(lock, [&] {
-            return stop_ || flush_requested_ || !queue_.empty();
-        });
-        if (queue_.empty()) {
-            if (stop_) return;
-            flush_requested_ = false;
-            idle_cv_.notify_all();
-            continue;
-        }
+        work_cv_.wait(lock, [&] { return stop_ || !queue_.empty(); });
+        if (queue_.empty()) return;  // stopped, and everything is drained
 
-        const bool force = stop_ || flush_requested_;
-        std::optional<Clock::time_point> deadline;
-        std::vector<Block> ready = collect_ready_locked(force, &deadline);
-        if (ready.empty()) {
-            // Nothing full yet: sleep until the oldest partial block's
-            // latency budget runs out (or new work / stop arrives).
-            work_cv_.wait_until(lock, *deadline, [&] {
-                return stop_ || flush_requested_ ||
-                       queue_.size() >= kLanes;
-            });
-            continue;
-        }
-
-        std::size_t count = 0;
-        for (const Block& b : ready) count += b.requests.size();
+        const std::size_t count = queue_.size();
+        std::vector<Block> blocks = take_blocks_locked();
         in_flight_ += count;
         TRACE_COUNTER("serve queue depth", queue_.size());
         if (metrics_) metrics_->set_queue_depth(queue_.size());
         lock.unlock();
-        run_blocks(ready);
+        run_blocks(blocks);
         lock.lock();
         in_flight_ -= count;
         if (queue_.empty() && in_flight_ == 0) idle_cv_.notify_all();
@@ -245,10 +187,7 @@ void Batcher::dispatcher_loop() {
 
 void Batcher::flush() {
     std::unique_lock<std::mutex> lock(mu_);
-    flush_requested_ = true;
-    work_cv_.notify_all();
     idle_cv_.wait(lock, [&] { return queue_.empty() && in_flight_ == 0; });
-    flush_requested_ = false;
 }
 
 void Batcher::stop() {

@@ -1,5 +1,5 @@
 // Admission-control micro-batcher: many concurrent single-example requests
-// in, full 64-lane transpose blocks out.
+// in, transpose blocks of up to 64 lanes out.
 //
 // The word-parallel BatchEngine only pays off when all 64 lanes of a block
 // carry examples, but an online service receives requests one at a time.
@@ -10,13 +10,14 @@
 //     overload: the request is shed immediately with a typed
 //     ServeError(kOverloaded) - latency stays bounded because queueing is,
 //     and the client learns to back off instead of timing out.
-//   * a dispatcher thread groups queued requests by their resolved model
-//     (the shared_ptr snapshot taken at submit time, so an alias swap
-//     mid-flight never splits or re-targets a request) and flushes a group
-//     as soon as it fills a 64-lane block - or when its oldest request has
-//     waited max_batch_delay, whichever comes first.  Full blocks never
-//     wait; partial blocks wait at most the configured latency budget.
-//   * flushed blocks fan out across the existing train::WorkerPool (one
+//   * whenever the dispatcher thread is free it takes everything queued,
+//     groups it by resolved model (the shared_ptr snapshot taken at submit
+//     time, so an alias swap mid-flight never splits or re-targets a
+//     request) and cuts each model's FIFO run into blocks of at most 64
+//     lanes.  A request that arrives alone is sent at once; requests that
+//     arrive while a block computes ride the next one, so blocks fill under
+//     load without a clock and stay small when traffic is light.
+//   * the blocks fan out across the existing train::WorkerPool (one
 //     predict_block pass per block), promises are fulfilled with the
 //     prediction, the serving model's content hash, and the measured
 //     end-to-end latency; metrics record batch occupancy and, when the
@@ -48,9 +49,6 @@ namespace matador::serve {
 struct BatcherOptions {
     /// Pending (not yet dispatched) requests beyond this are shed.
     std::size_t max_queue_depth = 1024;
-    /// A partial block is flushed once its oldest request has waited this
-    /// long; 0 flushes every wakeup (lowest latency, lowest occupancy).
-    double max_batch_delay_ms = 2.0;
 };
 
 /// What a fulfilled predict future carries.
@@ -78,8 +76,8 @@ public:
                               util::BitVector x,
                               std::optional<std::uint32_t> label = {});
 
-    /// Force-flush everything pending (ignoring the delay timer) and block
-    /// until the batcher is idle.  Serving continues afterwards.
+    /// Block until every accepted request has been answered and the
+    /// batcher is idle.  Serving continues afterwards.
     void flush();
 
     /// Drain and join the dispatcher.  Every already-accepted request is
@@ -88,8 +86,6 @@ public:
 
     /// Pending (not yet dispatched) requests right now.
     std::size_t queue_depth() const;
-
-    const BatcherOptions& options() const { return options_; }
 
 private:
     using Clock = std::chrono::steady_clock;
@@ -101,18 +97,16 @@ private:
         std::promise<Reply> promise;
         Clock::time_point enqueued;
     };
-    /// One flushed 64-lane block: requests sharing one servable.
+    /// One dispatched block: up to 64 requests sharing one servable.
     struct Block {
         std::shared_ptr<const ServableModel> model;
         std::vector<Request> requests;
     };
 
     void dispatcher_loop();
-    /// Move every ready block out of the queue (mu_ held).  A block is
-    /// ready when full, when `force`, or when its oldest member has waited
-    /// past the delay; returns the earliest future deadline otherwise.
-    std::vector<Block> collect_ready_locked(bool force,
-                                            std::optional<Clock::time_point>* next_deadline);
+    /// Move the whole queue out as blocks (mu_ held): grouped by servable,
+    /// FIFO within a servable, at most kLanes requests per block.
+    std::vector<Block> take_blocks_locked();
     void run_blocks(std::vector<Block>& blocks);
     void execute_block(Block& block) const;
 
@@ -124,11 +118,10 @@ private:
     mutable std::atomic<double> service_ewma_us_{0.0};
 
     mutable std::mutex mu_;
-    std::condition_variable work_cv_;  ///< submit/stop/flush -> dispatcher
+    std::condition_variable work_cv_;  ///< submit/stop -> dispatcher
     std::condition_variable idle_cv_;  ///< dispatcher -> flush()/stop() waiters
     std::deque<Request> queue_;
     std::size_t in_flight_ = 0;  ///< dispatched but not yet fulfilled
-    bool flush_requested_ = false;
     bool stop_ = false;
     std::thread dispatcher_;
 };

@@ -213,26 +213,26 @@ std::string format_status_text(const util::Json& doc) {
     std::snprintf(line, sizeof line,
                   "serve: up %.1f s, %zu request(s), %zu shed",
                   doc.at("uptime_seconds").as_double(),
-                  std::size_t(doc.at("total_requests").as_double()),
-                  std::size_t(doc.at("total_shed").as_double()));
+                  doc.at("total_requests").as_count(),
+                  doc.at("total_shed").as_count());
     out += line;
     // v2 fields: absent from v1 files, so probe before reading.
     if (doc.contains("queue_depth")) {
         std::snprintf(line, sizeof line, ", queue %zu",
-                      std::size_t(doc.at("queue_depth").as_double()));
+                      doc.at("queue_depth").as_count());
         out += line;
     }
     if (doc.contains("spans_dropped") &&
         doc.at("spans_dropped").as_double() > 0) {
         std::snprintf(line, sizeof line, ", %zu span(s) dropped",
-                      std::size_t(doc.at("spans_dropped").as_double()));
+                      doc.at("spans_dropped").as_count());
         out += line;
     }
     out += '\n';
     if (doc.contains("shed_reasons")) {
         for (const auto& [reason, count] : doc.at("shed_reasons").as_object()) {
             std::snprintf(line, sizeof line, "  shed[%s]: %zu\n",
-                          reason.c_str(), std::size_t(count.as_double()));
+                          reason.c_str(), count.as_count());
             out += line;
         }
     }
@@ -245,13 +245,13 @@ std::string format_status_text(const util::Json& doc) {
                               "%zu failure(s); last: %s\n",
                               b.at("model").as_string().c_str(),
                               b.at("retry_after_ms").as_double(),
-                              std::size_t(b.at("failures").as_double()),
+                              b.at("failures").as_count(),
                               b.at("last_error").as_string().c_str());
             } else {
                 std::snprintf(line, sizeof line,
                               "  breaker[%s]: closed, %zu failure(s) burned\n",
                               b.at("model").as_string().c_str(),
-                              std::size_t(b.at("failures").as_double()));
+                              b.at("failures").as_count());
             }
             out += line;
         }
@@ -262,19 +262,19 @@ std::string format_status_text(const util::Json& doc) {
             "  %s: %zu req, %zu err, %zu shed | occupancy %.1f/64 over %zu "
             "batch(es) | p50 %.0fus p95 %.0fus p99 %.0fus",
             m.at("hash").as_string().c_str(),
-            std::size_t(m.at("requests").as_double()),
-            std::size_t(m.at("errors").as_double()),
-            std::size_t(m.at("shed").as_double()),
+            m.at("requests").as_count(),
+            m.at("errors").as_count(),
+            m.at("shed").as_count(),
             m.at("batch_occupancy").as_double(),
-            std::size_t(m.at("batches").as_double()),
+            m.at("batches").as_count(),
             m.at("p50_us").as_double(), m.at("p95_us").as_double(),
             m.at("p99_us").as_double());
         out += line;
-        if (std::size_t(m.at("rolling_window").as_double()) > 0) {
+        if (m.at("rolling_window").as_count() > 0) {
             std::snprintf(line, sizeof line,
                           " | acc %.2f%% (last %zu labeled)",
                           100.0 * m.at("rolling_accuracy").as_double(),
-                          std::size_t(m.at("rolling_window").as_double()));
+                          m.at("rolling_window").as_count());
             out += line;
         }
         out += '\n';

@@ -326,8 +326,8 @@ int Server::run(std::istream& in, std::ostream& out) {
         writer.push(std::move(pending));
     }
 
-    // EOF or shutdown: force out any partial batch, answer everything that
-    // was accepted, and leave a final status snapshot behind.
+    // EOF or shutdown: wait for every accepted request, answer them all,
+    // and leave a final status snapshot behind.
     batcher_.flush();
     writer.finish();
     in.tie(tied);

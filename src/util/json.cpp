@@ -1,5 +1,6 @@
 #include "util/json.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <cmath>
@@ -313,6 +314,20 @@ bool Json::as_bool() const {
 double Json::as_double() const {
     if (type_ != Type::kNumber) type_error("number", type_);
     return num_;
+}
+
+std::size_t Json::as_count(std::size_t max) const {
+    const double v = as_double();
+    // Whole doubles up to 2^53 are exact, so the compare and cast are too.
+    max = std::min(max, std::size_t(1) << 53);
+    if (!(v >= 0.0 && v <= double(max)) || v != std::floor(v)) {
+        char buf[96];
+        std::snprintf(buf, sizeof buf,
+                      "json: expected a whole count in [0, %zu], got %.17g",
+                      max, v);
+        throw std::runtime_error(buf);
+    }
+    return std::size_t(v);
 }
 
 const std::string& Json::as_string() const {

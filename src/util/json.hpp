@@ -40,6 +40,11 @@ public:
     /// Typed accessors; throw std::runtime_error on a type mismatch.
     bool as_bool() const;
     double as_double() const;
+    /// A count read from a document: a finite whole number in [0, max].
+    /// The default max, 2^53, is the range a double holds exactly.
+    /// Anything else throws std::runtime_error rather than reaching a bare
+    /// integer cast.
+    std::size_t as_count(std::size_t max = std::size_t(1) << 53) const;
     const std::string& as_string() const;
     const std::vector<Json>& as_array() const;
     const std::vector<std::pair<std::string, Json>>& as_object() const;

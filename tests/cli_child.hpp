@@ -32,10 +32,11 @@ struct Child {
 };
 
 /// Spawn `matador args...`.  An empty `stdin_path` / `stdout_path` gives
-/// a pipe on that side; stderr goes to /dev/null.
+/// a pipe on that side; stderr goes to `stderr_path`.
 inline Child spawn(const std::vector<std::string>& args,
                    const std::string& stdin_path = "",
-                   const std::string& stdout_path = "") {
+                   const std::string& stdout_path = "",
+                   const std::string& stderr_path = "/dev/null") {
     int in_pipe[2] = {-1, -1};
     int out_pipe[2] = {-1, -1};
     posix_spawn_file_actions_t actions;
@@ -56,7 +57,8 @@ inline Child spawn(const std::vector<std::string>& args,
         posix_spawn_file_actions_addopen(&actions, 1, stdout_path.c_str(),
                                          O_WRONLY | O_CREAT | O_TRUNC, 0644);
     }
-    posix_spawn_file_actions_addopen(&actions, 2, "/dev/null", O_WRONLY, 0);
+    posix_spawn_file_actions_addopen(&actions, 2, stderr_path.c_str(),
+                                     O_WRONLY | O_CREAT | O_TRUNC, 0644);
 
     std::vector<std::string> argv_s = {MATADOR_CLI_PATH};
     argv_s.insert(argv_s.end(), args.begin(), args.end());
@@ -95,11 +97,13 @@ inline int wait_exit(pid_t pid, double seconds) {
     return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
 }
 
-/// Run `matador args...` to completion with stdout to `stdout_path`;
-/// its exit code, or -1 if it had to be killed after 120 s.
+/// Run `matador args...` to completion with stdout to `stdout_path` and
+/// stderr to `stderr_path`; its exit code, or -1 if it had to be killed
+/// after 120 s.
 inline int run(const std::vector<std::string>& args,
-               const std::string& stdout_path = "/dev/null") {
-    const Child child = spawn(args, "/dev/null", stdout_path);
+               const std::string& stdout_path = "/dev/null",
+               const std::string& stderr_path = "/dev/null") {
+    const Child child = spawn(args, "/dev/null", stdout_path, stderr_path);
     return wait_exit(child.pid, 120.0);
 }
 

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <numeric>
+#include <stdexcept>
 
 namespace {
 
@@ -111,6 +113,9 @@ TEST(TrainTestSplit, ExtremeFractions) {
     const auto all_test = train_test_split(ds, 0.0, 1);
     EXPECT_EQ(all_test.train.size(), 0u);
     EXPECT_EQ(all_test.test.size(), 10u);
+    for (const double bad : {-0.5, 1.5, std::nan(""), 1e300})
+        EXPECT_THROW(train_test_split(ds, bad, 1), std::invalid_argument)
+            << bad;
 }
 
 }  // namespace

@@ -253,9 +253,12 @@ TEST(SweepJson, PointAndResultRoundTripExactly) {
         EXPECT_EQ(b.stages[s].tier, a.stages[s].tier);
     }
 
-    // Future versions are refused, not misparsed.
+    // Future versions and negative counts are refused, not misparsed.
     auto doc = core::sweep_result_to_json(sr);
     doc.set("version", util::Json(99.0));
+    EXPECT_THROW(core::sweep_result_from_json(doc), std::runtime_error);
+    doc = core::sweep_result_to_json(sr);
+    doc.set("threads_used", util::Json(-1.0));
     EXPECT_THROW(core::sweep_result_from_json(doc), std::runtime_error);
 }
 

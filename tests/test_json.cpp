@@ -169,6 +169,17 @@ TEST(Json, RejectsNestingDeeperThanTheLimit) {
     EXPECT_THROW(Json::parse(objects), std::runtime_error);
 }
 
+TEST(Json, CountsAreWholeNumbersInRange) {
+    EXPECT_EQ(Json(0.0).as_count(), 0u);
+    EXPECT_EQ(Json(42.0).as_count(), 42u);
+    EXPECT_EQ(Json(9007199254740992.0).as_count(), std::size_t(1) << 53);
+    for (const char* bad : {"-1", "2.5", "1e300", "\"3\""})
+        EXPECT_THROW(Json::parse(bad).as_count(), std::runtime_error) << bad;
+    EXPECT_THROW(Json(9007199254740994.0).as_count(), std::runtime_error);
+    EXPECT_EQ(Json(4294967295.0).as_count(4294967295u), 4294967295u);
+    EXPECT_THROW(Json(4294967296.0).as_count(4294967295u), std::runtime_error);
+}
+
 TEST(Json, TypeMismatchesAndMissingKeysThrowWithContext) {
     const Json j = Json::parse(R"({"a": 1})");
     EXPECT_THROW(j.at("a").as_string(), std::runtime_error);

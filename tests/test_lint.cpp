@@ -644,6 +644,15 @@ TEST(LintReportTest, JsonRejectsFutureVersions) {
     auto j = lint::lint_report_to_json(LintReport{});
     j.set("version", util::Json(2.0));
     EXPECT_THROW(lint::lint_report_from_json(j), std::runtime_error);
+
+    // A negative count is refused, not wrapped to 2^64 - 1.
+    auto bad = lint::lint_report_to_json(LintReport{});
+    util::Json stats = bad.at("stats");
+    util::Json modules = stats.at("modules");
+    modules.set("modules", util::Json(-1.0));
+    stats.set("modules", modules);
+    bad.set("stats", stats);
+    EXPECT_THROW(lint::lint_report_from_json(bad), std::runtime_error);
 }
 
 TEST(LintArtifactTest, ReportPersistsThroughTheDiskTier) {

@@ -513,6 +513,10 @@ TEST(SatProve, ReportJsonRoundTrip) {
     EXPECT_EQ(back.totals.decisions, rep.totals.decisions);
     EXPECT_THROW(sat::prove_report_from_json(util::Json::object()),
                  std::runtime_error);
+    // A count no size_t can hold is refused, not cast.
+    auto huge = j;
+    huge.set("outputs_total", util::Json(1e300));
+    EXPECT_THROW(sat::prove_report_from_json(huge), std::runtime_error);
 }
 
 /// The report's JSON with every `seconds` zeroed: everything a prove run

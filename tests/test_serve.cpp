@@ -245,22 +245,56 @@ TEST(Batcher, MatchesOfflineEngineAcrossBlocks) {
     EXPECT_EQ(snap.total_requests, xs.size());
 }
 
-TEST(Batcher, FlushTimerReleasesPartialBlocks) {
+TEST(Batcher, LoneRequestIsAnsweredWithoutFlush) {
     train::WorkerPool pool(1);
     ModelRegistry reg;
     const auto servable = reg.add(random_model(16, 2, 4, 10));
-    BatcherOptions options;
-    options.max_batch_delay_ms = 5.0;
-    Batcher batcher(pool, options);
+    Batcher batcher(pool);
 
-    // A lone request cannot fill a block; only the timer can release it.
+    // A lone request cannot fill a block; a free dispatcher sends it anyway.
     const auto xs = random_inputs(16, 1, 11);
     auto future = batcher.submit(servable, xs[0]);
     ASSERT_EQ(future.wait_for(std::chrono::seconds(10)),
               std::future_status::ready)
-        << "partial block never flushed";
+        << "partial block never dispatched";
     EXPECT_EQ(future.get().prediction,
               servable->engine.predict(xs.data(), 1)[0]);
+}
+
+// Closed-loop clients keep the queue filling while a block computes, so
+// the dispatcher's next take is a near-full block without any wait.
+TEST(Batcher, ClosedLoopClientsFillBlocks) {
+    train::WorkerPool pool(1);
+    serve::ServeMetrics metrics;
+    ModelRegistry reg;
+    // kws6-like shape: a 64-lane block of this model costs tens of µs.
+    const auto servable = reg.add(random_model(377, 6, 200, 40));
+    Batcher batcher(pool, {}, &metrics);
+
+    const std::size_t kClients = 128, kPerClient = 200;
+    const auto xs = random_inputs(377, 256, 41);
+    const auto golden = servable->engine.predict(xs.data(), xs.size());
+
+    std::atomic<std::size_t> mismatches{0};
+    std::vector<std::thread> clients;
+    for (std::size_t c = 0; c < kClients; ++c)
+        clients.emplace_back([&, c] {
+            for (std::size_t i = 0; i < kPerClient; ++i) {
+                const std::size_t k = (c * 17 + i) % xs.size();
+                if (batcher.submit(servable, xs[k]).get().prediction !=
+                    golden[k])
+                    ++mismatches;
+            }
+        });
+    for (auto& t : clients) t.join();
+    batcher.stop();
+
+    EXPECT_EQ(mismatches.load(), 0u) << "served != offline engine";
+    const auto snap = metrics.snapshot();
+    ASSERT_EQ(snap.models.size(), 1u);
+    EXPECT_EQ(snap.models[0].requests, kClients * kPerClient);
+    EXPECT_GE(snap.models[0].batch_occupancy(), 32.0)
+        << "saturated closed loop left blocks under half full";
 }
 
 TEST(Batcher, ShedsOnOverloadWithTypedError) {
@@ -270,7 +304,6 @@ TEST(Batcher, ShedsOnOverloadWithTypedError) {
     const auto servable = reg.add(random_model(16, 2, 4, 12));
     BatcherOptions options;
     options.max_queue_depth = 4;
-    options.max_batch_delay_ms = 60000.0;  // the timer never fires in-test
     Batcher batcher(pool, options, &metrics);
 
     const auto xs = random_inputs(16, 5, 13);
@@ -336,7 +369,6 @@ TEST(Registry, HotSwapUnderLoadDropsNothing) {
     reg.set_alias("default", a->hash_hex);
     BatcherOptions options;
     options.max_queue_depth = 100000;  // this test exercises swap, not shed
-    options.max_batch_delay_ms = 0.5;
     Batcher batcher(pool, options, &metrics);
 
     const std::size_t kClients = 4, kPerClient = 300;

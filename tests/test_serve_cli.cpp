@@ -10,6 +10,7 @@
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -111,6 +112,67 @@ TEST_F(ServeCli, ServedPredictionsAreByteIdenticalToEval) {
     }
     EXPECT_GT(k, 0u);
     EXPECT_EQ(served, read_file(golden()));
+}
+
+TEST_F(ServeCli, StatusFileAndHotSwapSession) {
+    // The status snapshot a labelled session leaves behind reads back in
+    // both renderings.
+    const std::string status = (dir_ / "status.json").string();
+    const Child child = spawn({"serve", "--model", model(), "--status-file",
+                               status},
+                              requests(), "/dev/null");
+    ASSERT_EQ(wait_exit(child.pid, 60.0), 0);
+    EXPECT_EQ(run({"serve-status", status}), 0);
+    const std::string status_json = (dir_ / "status_out.json").string();
+    ASSERT_EQ(run({"serve-status", status, "--json"}, status_json), 0);
+    const Json doc = Json::parse(read_file(status_json));
+    EXPECT_EQ(doc.at("format").as_string(), "matador-serve-status");
+    ASSERT_FALSE(doc.at("models").as_array().empty());
+    const std::string hash =
+        doc.at("models").as_array()[0].at("hash").as_string();
+
+    // Re-point the default alias at the model's own hash mid-session, keep
+    // predicting, then shut down.
+    std::istringstream reqs(read_file(requests()));
+    std::string first;
+    ASSERT_TRUE(std::getline(reqs, first));
+    Json swap = Json::object();
+    swap.set("op", "swap");
+    swap.set("alias", "default");
+    swap.set("target", hash);
+    const std::string session = (dir_ / "swap_session.ndjson").string();
+    {
+        std::ofstream out(session);
+        out << first << "\n"
+            << swap.dump() << "\n"
+            << first << "\n"
+            << R"({"op": "shutdown", "id": 99})" << "\n";
+    }
+    const std::string replies = (dir_ / "swap_replies.ndjson").string();
+    const Child swapper = spawn({"serve", "--model", model()}, session, replies);
+    ASSERT_EQ(wait_exit(swapper.pid, 60.0), 0);
+
+    std::vector<Json> rs;
+    std::istringstream lines(read_file(replies));
+    for (std::string line; std::getline(lines, line);)
+        rs.push_back(Json::parse(line));
+    ASSERT_EQ(rs.size(), 4u);
+    for (const Json& r : rs) EXPECT_TRUE(r.at("ok").as_bool()) << r.dump();
+    EXPECT_EQ(rs[0].at("prediction").as_double(),
+              rs[2].at("prediction").as_double());
+    EXPECT_EQ(rs[1].at("op").as_string(), "swap");
+    EXPECT_EQ(rs[3].at("id").as_double(), 99.0);
+}
+
+TEST_F(ServeCli, EvalRefusesAFeatureWidthMismatch) {
+    // A model/dataset width mismatch is a typed error, not garbage
+    // predictions: eval diagnoses it before predicting anything.
+    const std::string err = (dir_ / "mismatch.txt").string();
+    EXPECT_NE(run({"eval", "--model", model(), "--dataset", "noisy-xor"},
+                  "/dev/null", err),
+              0);
+    EXPECT_NE(read_file(err).find("feature-mismatch"), std::string::npos)
+        << read_file(err);
 }
 
 }  // namespace

@@ -40,6 +40,14 @@ TEST(TrainCli, ModelFileIsIdenticalAtOneAndFourThreads) {
     fs::remove_all(dir);
 }
 
+// A split fraction outside [0, 1] is an error, not a silent full-set fit.
+TEST(TrainCli, TrainFractionOutsideUnitIntervalIsRefused) {
+    EXPECT_NE(run({"train", "--dataset", "iris-like", "--examples", "30",
+                   "--clauses_per_class", "4", "--epochs", "1",
+                   "--train-fraction", "-1"}),
+              0);
+}
+
 // Tracing must never perturb training.  The set is 3,570 training examples
 // of 6 classes, so an epoch spans 4 segments and hands classes between
 // workers.

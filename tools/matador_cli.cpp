@@ -150,8 +150,6 @@ using namespace matador;
         "  --status-file <file>    serve: periodically write the serve-status\n"
         "                          JSON snapshot here\n"
         "  --status-interval <s>   serve: snapshot period (default 1.0)\n"
-        "  --max-batch-delay-ms <ms>  serve: flush a partial 64-lane batch\n"
-        "                          after this wait (default 2.0)\n"
         "  --max-queue-depth <n>   serve: shed requests beyond this backlog\n"
         "                          with error 'overloaded' (default 1024)\n"
         "  --max-inflight <n>      serve: in-order response window (256)\n"
@@ -242,8 +240,7 @@ const std::vector<CommandSpec>& command_specs() {
         {"sweep-status", {"lease-timeout", "config"}},
         {"serve",
          {"model", "alias", "status-file", "status-interval",
-          "max-batch-delay-ms", "max-queue-depth", "max-inflight", "config",
-          "trace-out"}},
+          "max-queue-depth", "max-inflight", "config", "trace-out"}},
         {"serve-status", {"status-file", "json", "config"}},
         {"metrics", {"metrics-file", "json", "prometheus", "config"}},
         {"cache",
@@ -659,8 +656,6 @@ int cmd_serve(const CliArgs& args, const core::FlowConfig& cfg) {
     options.threads = unsigned(cfg.train_threads);
     options.batch.max_queue_depth =
         parse_count_option("max-queue-depth", args.get("max-queue-depth", "1024"));
-    options.batch.max_batch_delay_ms = parse_fraction_option(
-        "max-batch-delay-ms", args.get("max-batch-delay-ms", "2"));
     options.status_file = args.get("status-file");
     options.status_interval_s = parse_fraction_option(
         "status-interval", args.get("status-interval", "1"));
