@@ -33,7 +33,7 @@ struct Workload {
 
 inline std::vector<Workload> paper_workloads(std::size_t scale = 1) {
     // `scale` divides the examples-per-class for quick runs (scale=1 is the
-    // full bench size used for EXPERIMENTS.md).
+    // full bench size).
     auto n = [scale](std::size_t full) { return std::max<std::size_t>(40, full / scale); };
     return {
         {"MNIST", "mnist", [n] { return data::make_mnist_like(n(250), 11); },

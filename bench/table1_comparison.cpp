@@ -92,7 +92,7 @@ void print_paper_reference() {
         "  KMNIST : FINN    40206 LUT, 49069 reg, 131  BRAM, 89.31%, 2.695/2.503 W, 3.9  us,   255,127 inf/s\n"
         "           MATADOR 13911 LUT, 48539 reg,  3   BRAM, 88.6%, 1.483/1.347 W, 0.32 us, 3,846,153 inf/s\n"
         "Accuracies here are on synthetic surrogates and are NOT comparable\n"
-        "with the paper; resource/latency/throughput shape is (see EXPERIMENTS.md).");
+        "with the paper; the resource/latency/throughput shape is.");
 }
 
 }  // namespace

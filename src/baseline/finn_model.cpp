@@ -39,8 +39,9 @@ FinnFolding choose_folding(const FinnLayer& layer, std::size_t target) {
     return best;
 }
 
-// Resource constants, calibrated against XC7Z020 FINN implementation
-// reports (see EXPERIMENTS.md).  All are per-unit LUT/BRAM figures.
+// Resource constants, calibrated against the XC7Z020 FINN rows of the
+// paper's Table I (bench/table1_comparison.cpp prints them beside this
+// model's estimates).  All are per-unit LUT/BRAM figures.
 constexpr double kLutPerMac1b = 2.5;    ///< XNOR+popcount slice cost per 1b x 1b PE*SIMD lane
 constexpr double kLutPerPeCtl = 60.0;   ///< threshold + accumulator per PE
 constexpr double kLutPerLayer = 300.0;  ///< MVTU control FSM

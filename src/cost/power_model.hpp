@@ -4,7 +4,8 @@
 //   total = device static + PS dynamic (ARM core, fixed while streaming)
 //         + fabric dynamic (toggling LUTs/FFs/BRAM, linear in f_clk).
 // Coefficients are calibrated against the XC7Z020 implementation reports
-// behind Table I (see EXPERIMENTS.md for the calibration points).
+// behind Table I; bench/table1_comparison.cpp prints the paper's power
+// figures beside this model's.
 #pragma once
 
 #include "cost/device.hpp"

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
+#include <span>
+#include <vector>
 
 #include "data/booleanizer.hpp"
 #include "util/rng.hpp"
@@ -12,6 +15,8 @@ namespace {
 
 using util::BitVector;
 using util::Xoshiro256ss;
+
+constexpr std::size_t kWordBits = BitVector::kWordBits;
 
 /// Draw a structured prototype on a width x height grid: `blobs` roughly
 /// circular active regions whose total area approximates `fill_density`,
@@ -45,24 +50,69 @@ BitVector draw_prototype(std::size_t width, std::size_t height, std::size_t blob
     return proto;
 }
 
-/// Flip each bit of `x` with probability `p` (restricted to `mask` if given).
-void add_noise(BitVector& x, double p, Xoshiro256ss& rng) {
-    for (std::size_t i = 0; i < x.size(); ++i)
-        if (rng.bernoulli(p)) x.set(i, !x.get(i));
+/// The integer form of `bernoulli(p)` on one raw draw:
+/// `(draw >> 11) < bernoulli_threshold(p)`.  uniform() is
+/// `(draw >> 11) * 2^-53`, and scaling both sides of `uniform() < p` by the
+/// power of two 2^53 is exact; an integer is below a real iff it is below
+/// its ceiling.  So for p in [0, 1], `uniform() < p` is exactly
+/// `(draw >> 11) < ceil(p * 2^53)`.  The clamps give the same answer as
+/// uniform() for p outside [0, 1] and for NaN.
+std::uint64_t bernoulli_threshold(double p) {
+    if (!(p > 0.0)) return 0;
+    if (p >= 1.0) return std::uint64_t{1} << 53;
+    return std::uint64_t(std::ceil(std::ldexp(p, 53)));
 }
 
-/// Translate a width x height image by (dx, dy), clipping at the borders.
+/// `bits` (<= 64) Bernoulli draws packed into one word, draw b in bit b:
+/// the same draws, in the same order, as `bits` calls of bernoulli(p).
+std::uint64_t bernoulli_bits(Xoshiro256ss& rng, std::uint64_t threshold,
+                             std::size_t bits) {
+    std::uint64_t w = 0;
+    for (std::size_t b = 0; b < bits; ++b)
+        w |= std::uint64_t((rng() >> 11) < threshold) << b;
+    return w;
+}
+
+/// Flip each bit of `x` with probability `p`, drawing in bit order.  The
+/// last word takes only size % 64 draws, so the zero tail stays zero.
+void add_noise(BitVector& x, double p, Xoshiro256ss& rng) {
+    const std::uint64_t threshold = bernoulli_threshold(p);
+    const auto words = x.words();
+    for (std::size_t w = 0; w < words.size(); ++w)
+        words[w] ^=
+            bernoulli_bits(rng, threshold, std::min(kWordBits, x.size() - w * kWordBits));
+}
+
+/// OR `len` bits of `src` starting at bit `from` into `dst` at bit `to`.
+/// Each step moves one chunk that fits in one word of `dst`, read from at
+/// most two words of `src`; no shift is ever by 64 or more.
+void or_bit_range(std::span<std::uint64_t> dst, std::size_t to,
+                  std::span<const std::uint64_t> src, std::size_t from, std::size_t len) {
+    while (len > 0) {
+        const std::size_t n = std::min(len, kWordBits - to % kWordBits);
+        const std::size_t s = from % kWordBits;
+        std::uint64_t chunk = src[from / kWordBits] >> s;
+        if (s + n > kWordBits) chunk |= src[from / kWordBits + 1] << (kWordBits - s);
+        if (n < kWordBits) chunk &= (std::uint64_t{1} << n) - 1;
+        dst[to / kWordBits] |= chunk << (to % kWordBits);
+        to += n;
+        from += n;
+        len -= n;
+    }
+}
+
+/// Translate a width x height image by (dx, dy), clipping at the borders:
+/// each surviving row is copied as one bit range.
 BitVector shift_image(const BitVector& src, std::size_t width, std::size_t height,
                       int dx, int dy) {
     BitVector out(src.size());
-    for (std::size_t y = 0; y < height; ++y) {
-        for (std::size_t x = 0; x < width; ++x) {
-            if (!src.get(y * width + x)) continue;
-            const long nx = long(x) + dx, ny = long(y) + dy;
-            if (nx >= 0 && nx < long(width) && ny >= 0 && ny < long(height))
-                out.set(std::size_t(ny) * width + std::size_t(nx));
-        }
-    }
+    const long w = long(width), h = long(height);
+    if (std::abs(long(dx)) >= w || std::abs(long(dy)) >= h) return out;
+    // Columns [x0, x0 + len) of a source row land at [x0 + dx, x0 + dx + len).
+    const long x0 = std::max(0L, -long(dx)), len = w - std::abs(long(dx));
+    for (long y = std::max(0L, long(dy)); y < std::min(h, h + dy); ++y)
+        or_bit_range(out.words(), std::size_t(y * w + x0 + dx), src.words(),
+                     std::size_t((y - dy) * w + x0), std::size_t(len));
     return out;
 }
 
@@ -78,15 +128,18 @@ Dataset make_image_like(const ImageLikeParams& p) {
     ds.num_classes = p.num_classes;
 
     // Ambiguous pixels: independently random in every sample, of every class.
+    // Noise on an empty grid marks each pixel with probability
+    // ambiguous_fraction.
     BitVector ambiguous(bits);
-    for (std::size_t i = 0; i < bits; ++i)
-        if (rng.bernoulli(p.ambiguous_fraction)) ambiguous.set(i);
+    add_noise(ambiguous, p.ambiguous_fraction, rng);
 
     std::vector<BitVector> protos;
     protos.reserve(p.num_classes);
     for (std::size_t c = 0; c < p.num_classes; ++c)
         protos.push_back(
             draw_prototype(p.width, p.height, p.blobs, p.fill_density, ambiguous, rng));
+    const std::vector<std::size_t> ambiguous_bits = ambiguous.set_bits();
+    const std::uint64_t half = bernoulli_threshold(0.5);
 
     for (std::size_t c = 0; c < p.num_classes; ++c) {
         for (std::size_t e = 0; e < p.examples_per_class; ++e) {
@@ -98,10 +151,12 @@ Dataset make_image_like(const ImageLikeParams& p) {
                 x = shift_image(x, p.width, p.height, dx, dy);
             }
             add_noise(x, p.noise, rng);
-            // Ambiguous pixels: uniform random, identical process across classes.
-            for (std::size_t i = ambiguous.find_first(); i < bits;
-                 i = ambiguous.find_next(i))
-                x.set(i, rng.bernoulli(0.5));
+            // Ambiguous pixels: uniform random, identical process across
+            // classes, drawn in ascending bit order.
+            x.and_not(ambiguous);
+            const auto words = x.words();
+            for (const std::size_t i : ambiguous_bits)
+                words[i / kWordBits] |= std::uint64_t((rng() >> 11) < half) << (i % kWordBits);
             ds.add(std::move(x), std::uint32_t(c));
         }
     }

@@ -19,8 +19,9 @@
 // MFCC bands: per-class band-activation templates over time frames.
 //
 // Absolute accuracy numbers are NOT comparable with the paper (different
-// data); EXPERIMENTS.md flags this.  Shapes (who wins, resource ordering,
-// latency arithmetic) do not depend on the raw pixels.
+// data); bench/table1_comparison.cpp says so beside its table.  Shapes (who
+// wins, resource ordering, latency arithmetic) do not depend on the raw
+// pixels.
 #pragma once
 
 #include <cstdint>

@@ -118,7 +118,7 @@ GridManifest GridManifest::from_json(const util::Json& j) {
     if (j.at("format").as_string() != kGridFormat)
         throw std::runtime_error("work queue: grid.json is not a " +
                                  std::string(kGridFormat) + " document");
-    const auto version = unsigned(j.at("version").as_double());
+    const std::size_t version = j.at("version").as_count();
     if (version == 0 || version > core::kSweepJsonVersion)
         throw std::runtime_error(
             "work queue: grid.json v" + std::to_string(version) +

@@ -89,7 +89,7 @@ std::uint64_t counter_sum(const util::Json& metrics, const std::string& name,
                 if (v.is_string() && v.as_string() == label_value) match = true;
             if (!match) continue;
         }
-        total += std::uint64_t(e.at("value").as_double());
+        total += e.at("value").as_count();
     }
     return total;
 }

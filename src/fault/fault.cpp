@@ -72,7 +72,7 @@ FaultPlan FaultPlan::parse(const std::string& json_text) {
     FaultPlan plan;
     for (const auto& [key, value] : doc.as_object()) {
         if (key == "seed") {
-            plan.seed = static_cast<std::uint64_t>(value.as_double());
+            plan.seed = value.as_count();
         } else if (key == "rules") {
             for (const auto& rj : value.as_array()) {
                 FaultRule rule;
@@ -81,8 +81,8 @@ FaultPlan FaultPlan::parse(const std::string& json_text) {
                     else if (rk == "op") rule.op = op_from_name(rv.as_string());
                     else if (rk == "path") rule.path_substr = rv.as_string();
                     else if (rk == "point") rule.point = rv.as_string();
-                    else if (rk == "at") rule.at = static_cast<std::uint64_t>(rv.as_double());
-                    else if (rk == "count") rule.count = static_cast<std::uint64_t>(rv.as_double());
+                    else if (rk == "at") rule.at = rv.as_count();
+                    else if (rk == "count") rule.count = rv.as_count();
                     else if (rk == "prob") rule.prob = rv.as_double();
                     else throw std::runtime_error("fault plan: unknown rule field \"" + rk + "\"");
                 }

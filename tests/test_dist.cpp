@@ -99,6 +99,11 @@ TEST(GridManifest, RoundTripsThroughJson) {
     const auto regrid = back.to_grid();
     ASSERT_EQ(regrid.size(), grid.size());
     EXPECT_EQ(core::grid_content_hash(regrid), m.grid_hash);
+
+    // A negative version is refused, not cast.
+    util::Json bad = m.to_json();
+    bad.set("version", util::Json(-1.0));
+    EXPECT_THROW(GridManifest::from_json(bad), std::runtime_error);
 }
 
 TEST(WorkQueue, RejectsAForeignGridInTheSameDirectory) {

@@ -145,6 +145,19 @@ TEST(FaultPlanJson, RejectsTyposInsteadOfSilentlyInjectingNothing) {
     EXPECT_THROW(
         FaultPlan::parse(R"({"rules": [{"class": "eio", "at": 0}]})"),
         std::runtime_error);
+    // Counts are whole numbers in range, never bare-cast: a negative `at`
+    // would never fire and a huge `count` would mean "every match".
+    EXPECT_THROW(
+        FaultPlan::parse(R"({"rules": [{"class": "eio", "at": -1}]})"),
+        std::runtime_error);
+    EXPECT_THROW(
+        FaultPlan::parse(R"({"rules": [{"class": "eio", "at": 2.5}]})"),
+        std::runtime_error);
+    EXPECT_THROW(
+        FaultPlan::parse(R"({"rules": [{"class": "eio", "count": 1e300}]})"),
+        std::runtime_error);
+    EXPECT_THROW(FaultPlan::parse(R"({"seed": -1, "rules": []})"),
+                 std::runtime_error);
 }
 
 TEST(FaultPlanJson, FromEnvReadsInlineJsonAndFiles) {

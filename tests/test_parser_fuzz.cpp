@@ -1,5 +1,6 @@
 // Seeded mutation fuzzing of the parsers every serve request line goes
-// through: util::Json::parse and BitVector::from_string.  g++ ships no
+// through (util::Json::parse and BitVector::from_string) and of the AIGER
+// reader the artifact store's generate tier reads from disk.  g++ ships no
 // libFuzzer, so this is an in-tree mutation loop with a fixed iteration
 // budget; the ASan/UBSan build runs it as part of the full suite.  Every
 // input is derived from a fixed seed, so a failure reproduces exactly.
@@ -13,9 +14,13 @@
 #include <string>
 #include <vector>
 
+#include "logic/aig.hpp"
+#include "logic/aiger.hpp"
+#include "model/architecture.hpp"
 #include "model/trained_model.hpp"
 #include "obs/metrics.hpp"
 #include "serve/metrics.hpp"
+#include "rtl/generators.hpp"
 #include "serve/server.hpp"
 #include "util/bitvector.hpp"
 #include "util/json.hpp"
@@ -181,6 +186,65 @@ TEST(ParserFuzz, ServerAnswersEveryMutatedLine) {
             EXPECT_TRUE(r.at("error").is_string()) << reply;
     }
     EXPECT_EQ(n, lines.size());
+}
+
+/// AIGER documents to mutate: the ascii and binary exports of a small
+/// hand-built AIG (complemented edges, a constant output) and of one
+/// generated HCB netlist.
+std::vector<std::string> aiger_corpus() {
+    logic::Aig small(/*strash=*/false);
+    const logic::Lit a = small.create_pi(), b = small.create_pi(), c = small.create_pi();
+    const logic::Lit ab = small.create_and(a, logic::lit_not(b));
+    small.add_po(small.create_and(logic::lit_not(ab), c));
+    small.add_po(logic::lit_not(ab));
+    small.add_po(logic::kConst1);
+
+    model::TrainedModel m(8, 2, 3);
+    util::Xoshiro256ss rng(9);
+    for (std::size_t k = 0; k < 2; ++k)
+        for (std::size_t j = 0; j < 3; ++j)
+            for (std::size_t f = 0; f < 8; ++f) {
+                const std::uint64_t r = rng() % 3;
+                if (r == 0) m.clause(k, j).include_pos.set(f);
+                if (r == 1) m.clause(k, j).include_neg.set(f);
+            }
+    model::ArchOptions opts;
+    opts.bus_width = 4;
+    const auto design = rtl::generate_rtl(m, model::derive_architecture(m, opts), true);
+    const logic::Aig& hcb = design.hcbs.at(0).aig;
+
+    return {logic::write_aiger_ascii(small), logic::write_aiger_binary(small),
+            logic::write_aiger_ascii(hcb), logic::write_aiger_binary(hcb)};
+}
+
+TEST(ParserFuzz, AigerReaderRejectsOrRoundTrips) {
+    const auto seeds = aiger_corpus();
+    for (const auto& s : seeds)
+        ASSERT_NO_THROW(logic::read_aiger(s)) << "bad seed: " << s;
+
+    Mutator mutator(20261019);
+    std::size_t accepted = 0;
+    const std::size_t kIterations = 40000;
+    for (std::size_t i = 0; i < kIterations; ++i) {
+        const std::string input =
+            mutator.mutate(seeds[mutator.below(seeds.size())]);
+        std::string blob;
+        try {
+            blob = logic::write_aiger_binary(logic::read_aiger(input));
+        } catch (const std::runtime_error&) {
+            continue;  // rejected cleanly; any other exception fails
+        }
+        ++accepted;
+        // Whatever was accepted exports to a canonical document that
+        // re-imports to the same bytes.
+        ASSERT_EQ(logic::write_aiger_binary(logic::read_aiger(blob)), blob)
+            << "iteration " << i;
+    }
+    // The reader is strict (every count and literal is checked), so most
+    // mutants are refused; enough must still load for the round trip to
+    // test something.
+    EXPECT_GT(accepted, kIterations / 100);
+    EXPECT_LT(accepted, kIterations);
 }
 
 TEST(ParserFuzz, FromStringMatchesPerCharacterReference) {

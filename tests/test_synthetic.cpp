@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include "core/artifact_store.hpp"
+
 namespace {
 
 using namespace matador::data;
+using matador::core::dataset_fingerprint;
 
 TEST(ImageLike, ShapeMatchesParams) {
     ImageLikeParams p;
@@ -122,6 +125,47 @@ TEST(NamedSurrogates, NamesAreDistinct) {
     EXPECT_EQ(make_fmnist_like(2).name, "fmnist-like");
     EXPECT_EQ(make_cifar2_like(2).name, "cifar2-like");
     EXPECT_EQ(make_kws6_like(2).name, "kws6-like");
+}
+
+// Every generator's bytes, pinned.  A rewrite of the synthesis loops must
+// consume the same draws in the same order, so these values never change;
+// a mismatch means every model, design and proof downstream changed too.
+TEST(Synthetic, FingerprintsMatchRecordedValues) {
+    EXPECT_EQ(dataset_fingerprint(make_mnist_like(30, 11)), 0xa6ac88d5a8e4e79du);
+    EXPECT_EQ(dataset_fingerprint(make_kmnist_like(30, 11)), 0x2403188701bc67c9u);
+    EXPECT_EQ(dataset_fingerprint(make_fmnist_like(30, 11)), 0x40692ae0dbe5a0d2u);
+    EXPECT_EQ(dataset_fingerprint(make_cifar2_like(30, 11)), 0xe6402be5ca26243fu);
+    EXPECT_EQ(dataset_fingerprint(make_kws6_like(40, 15)), 0xc32e48ac61614e0eu);
+    EXPECT_EQ(dataset_fingerprint(make_noisy_xor(200, 10, 0.02, 7)), 0x6d1662d08c278a66u);
+    EXPECT_EQ(dataset_fingerprint(make_iris_like(20, 4, 5)), 0x87c84cf1909aa8feu);
+
+    const auto image = [](std::size_t width, std::size_t height, std::size_t classes,
+                          std::size_t per_class, std::size_t max_shift,
+                          std::uint64_t seed) {
+        ImageLikeParams p;
+        p.width = width;
+        p.height = height;
+        p.num_classes = classes;
+        p.examples_per_class = per_class;
+        p.max_shift = max_shift;
+        p.seed = seed;
+        return dataset_fingerprint(make_image_like(p));
+    };
+    // Rows straddle word boundaries (100 bits wide).
+    EXPECT_EQ(image(100, 5, 3, 20, 3, 21), 0x967fb7c79905fa7eu);
+    // Shifts reach past the whole row and column.
+    EXPECT_EQ(image(10, 7, 3, 20, 12, 22), 0x3032a4abb80df682u);
+    // Each row is exactly one word.
+    EXPECT_EQ(image(64, 3, 2, 20, 2, 23), 0x12c09edb610c6de0u);
+
+    AudioLikeParams a;
+    a.bands = 13;
+    a.frames = 5;
+    a.num_classes = 3;
+    a.examples_per_class = 20;
+    a.max_frame_shift = 7;
+    a.seed = 24;
+    EXPECT_EQ(dataset_fingerprint(make_audio_like(a)), 0x4bb1d439b79c0002u);
 }
 
 }  // namespace

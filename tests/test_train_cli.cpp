@@ -73,10 +73,14 @@ TEST(TrainCli, TracedModelIsIdenticalToUntraced) {
     EXPECT_EQ(plain, traced);
 
     const auto doc = matador::util::Json::parse(read_file(trace));
-    std::size_t segment_spans = 0;
-    for (const auto& ev : doc.at("traceEvents").as_array())
+    std::size_t segment_spans = 0, dataset_spans = 0;
+    for (const auto& ev : doc.at("traceEvents").as_array()) {
         segment_spans += ev.at("name").as_string() == "train-segment";
+        dataset_spans += ev.at("name").as_string() == "make-dataset";
+    }
     EXPECT_GT(segment_spans, 0u);
+    // Set-up is on the timeline too: one span for the dataset synthesis.
+    EXPECT_EQ(dataset_spans, 1u);
     fs::remove_all(dir);
 }
 

@@ -405,6 +405,7 @@ CliArgs parse_args(int argc, char** argv, core::FlowConfig& cfg) {
 }
 
 data::Dataset make_dataset(const CliArgs& args) {
+    TRACE_SPAN("make-dataset", "data");
     const std::string spec = args.get("dataset");
     if (spec.empty()) {
         std::fprintf(stderr, "--dataset is required for this command\n");
