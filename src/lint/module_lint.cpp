@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 
 namespace matador::lint {
 
@@ -31,9 +31,19 @@ struct NetInfo {
     bool ext_connected = false;
     bool read = false;       ///< referenced by any rhs / condition / pin
     bool live_seed = false;  ///< read by an output, register, or instance
-    bool live = false;       ///< reaches a live seed through assigns
 };
 
+/// Declared nets referenced by one continuous assign, as net ids: sorted,
+/// each id once, undeclared names left out.
+struct AssignNets {
+    std::vector<int> lhs, rhs;
+    bool rhs_has_ternary = false;  ///< a ternary folds with one branch unknown
+};
+
+/// Every declared net is numbered once per module, in name order, so a walk
+/// over ids visits nets in the order a name-keyed map would.  Each net
+/// reference is resolved once, in the collection walk; the checks then
+/// work on vectors indexed by id.
 class ModuleAnalyzer {
 public:
     ModuleAnalyzer(const Module& mod, const std::vector<const Module*>& scope,
@@ -61,113 +71,136 @@ public:
     }
 
 private:
-    void add(const char* chk, Severity sev, std::string object,
+    void add(const char* chk, Severity sev, std::string_view object,
              std::string message) {
         findings_.push_back(
-            {chk, sev, where_, std::move(object), std::move(message)});
+            {chk, sev, where_, std::string(object), std::move(message)});
     }
 
     // -- symbol table -------------------------------------------------------
 
     void declare_signals() {
-        for (const auto& p : mod_.ports) {
+        // The first declaration of a name wins; ports come first.
+        std::vector<std::pair<std::string_view, NetInfo>> decls;
+        const auto declare = [&](const std::string& name, int width, bool is_reg,
+                                 rtl::PortDir dir, bool is_port) {
+            if (!ids_.emplace(name, int(decls.size())).second) return;
             NetInfo info;
-            info.width = p.width;
-            info.is_reg = p.is_reg;
-            info.is_input = p.dir == rtl::PortDir::kInput;
-            info.is_output = p.dir == rtl::PortDir::kOutput;
-            info.cont_drivers.assign(std::size_t(std::max(p.width, 1)), 0);
-            nets_.emplace(p.name, std::move(info));
-        }
-        for (const auto& n : mod_.nets) {
-            if (nets_.count(n.name)) continue;  // port declaration wins
-            NetInfo info;
-            info.width = n.width;
-            info.is_reg = n.is_reg;
-            info.cont_drivers.assign(std::size_t(std::max(n.width, 1)), 0);
-            nets_.emplace(n.name, std::move(info));
+            info.width = width;
+            info.is_reg = is_reg;
+            info.is_input = is_port && dir == rtl::PortDir::kInput;
+            info.is_output = is_port && dir == rtl::PortDir::kOutput;
+            info.cont_drivers.assign(std::size_t(std::max(width, 1)), 0);
+            decls.emplace_back(name, std::move(info));
+        };
+        for (const auto& p : mod_.ports) declare(p.name, p.width, p.is_reg, p.dir, true);
+        for (const auto& n : mod_.nets)
+            declare(n.name, n.width, n.is_reg, rtl::PortDir::kInput, false);
+        std::sort(decls.begin(), decls.end(),
+                  [](const auto& a, const auto& b) { return a.first < b.first; });
+        names_.reserve(decls.size());
+        nets_.reserve(decls.size());
+        for (auto& [name, info] : decls) {
+            ids_[name] = int(names_.size());
+            names_.push_back(name);
+            nets_.push_back(std::move(info));
         }
     }
 
-    NetInfo* lookup(const std::string& name) {
-        const auto it = nets_.find(name);
-        if (it != nets_.end()) return &it->second;
-        if (unknown_reported_.insert(name).second)
+    /// Id of a declared net, or -1.
+    int find(const std::string& name) const {
+        const auto it = ids_.find(name);
+        return it == ids_.end() ? -1 : it->second;
+    }
+
+    /// find(), reporting an undeclared name the first time it is met.
+    int lookup(const std::string& name) {
+        const int id = find(name);
+        if (id < 0 && unknown_reported_.insert(name).second)
             add(check::kUnknownNet, Severity::kError, name,
                 "referenced but never declared");
-        return nullptr;
+        return id;
     }
 
     // -- expression walks ---------------------------------------------------
 
-    /// Check an Index/Slice select against the declaration width.
-    void check_bounds(const std::string& name, int msb, int lsb) {
-        NetInfo* info = lookup(name);
-        if (!info) return;
-        if (lsb < 0 || msb < lsb || msb >= info->width)
+    /// Check an Index/Slice select of net `id` against its declared width.
+    void check_bounds(const std::string& name, int id, int msb, int lsb) {
+        if (id < 0) return;
+        const int width = nets_[std::size_t(id)].width;
+        if (lsb < 0 || msb < lsb || msb >= width)
             add(check::kBitRange, Severity::kError, name,
                 "select [" + std::to_string(msb) +
                     (msb == lsb ? "" : ":" + std::to_string(lsb)) +
-                    "] outside [" + std::to_string(info->width - 1) + ":0]");
+                    "] outside [" + std::to_string(width - 1) + ":0]");
     }
 
     /// Mark every net referenced by `e` as read (and optionally as a
-    /// liveness seed), with bit-select bounds checking.
-    void mark_read(const ExprP& e, bool live_seed = false) {
+    /// liveness seed), with bit-select bounds checking.  When `refs` is
+    /// given, the resolved ids are appended to it.
+    void mark_read(const ExprP& e, bool live_seed = false, AssignNets* refs = nullptr) {
         if (!e) return;
         std::visit(
             [&](const auto& node) {
                 using T = std::decay_t<decltype(node)>;
                 if constexpr (std::is_same_v<T, Expr::Ref>) {
-                    touch_read(node.name, live_seed);
+                    touch_read(node.name, live_seed, refs);
                 } else if constexpr (std::is_same_v<T, Expr::Index>) {
-                    touch_read(node.name, live_seed);
-                    check_bounds(node.name, node.index, node.index);
+                    check_bounds(node.name, touch_read(node.name, live_seed, refs),
+                                 node.index, node.index);
                 } else if constexpr (std::is_same_v<T, Expr::Slice>) {
-                    touch_read(node.name, live_seed);
-                    check_bounds(node.name, node.msb, node.lsb);
+                    check_bounds(node.name, touch_read(node.name, live_seed, refs),
+                                 node.msb, node.lsb);
                 } else if constexpr (std::is_same_v<T, Expr::Const>) {
                     // nothing to do
                 } else if constexpr (std::is_same_v<T, Expr::Unary>) {
-                    mark_read(node.a, live_seed);
+                    mark_read(node.a, live_seed, refs);
                 } else if constexpr (std::is_same_v<T, Expr::Binary>) {
-                    mark_read(node.a, live_seed);
-                    mark_read(node.b, live_seed);
+                    mark_read(node.a, live_seed, refs);
+                    mark_read(node.b, live_seed, refs);
                 } else if constexpr (std::is_same_v<T, Expr::Ternary>) {
-                    mark_read(node.cond, live_seed);
-                    mark_read(node.then_e, live_seed);
-                    mark_read(node.else_e, live_seed);
+                    if (refs) refs->rhs_has_ternary = true;
+                    mark_read(node.cond, live_seed, refs);
+                    mark_read(node.then_e, live_seed, refs);
+                    mark_read(node.else_e, live_seed, refs);
                 } else if constexpr (std::is_same_v<T, Expr::Concat>) {
                     for (const auto& part : node.parts)
-                        mark_read(part, live_seed);
+                        mark_read(part, live_seed, refs);
                 } else if constexpr (std::is_same_v<T, Expr::Signed>) {
-                    mark_read(node.a, live_seed);
+                    mark_read(node.a, live_seed, refs);
                 }
             },
             e->node);
     }
 
-    void touch_read(const std::string& name, bool live_seed) {
-        if (NetInfo* info = lookup(name)) {
-            info->read = true;
-            if (live_seed) info->live_seed = true;
+    int touch_read(const std::string& name, bool live_seed, AssignNets* refs = nullptr) {
+        const int id = lookup(name);
+        if (id >= 0) {
+            NetInfo& info = nets_[std::size_t(id)];
+            info.read = true;
+            if (live_seed) info.live_seed = true;
+            if (refs) refs->rhs.push_back(id);
         }
+        return id;
     }
 
-    /// Decompose an assignment target into (name, msb, lsb) bit ranges.
+    /// Decompose an assignment target into (net id, msb, lsb) bit ranges.
     /// Anything that is not a legal lvalue shape is ignored (the writer
     /// never emits one).
-    void for_each_lvalue(const ExprP& e,
-                         const std::function<void(const std::string&, int, int)>& fn) {
+    template <class Fn>
+    void for_each_lvalue(const ExprP& e, Fn&& fn) {
         if (!e) return;
         if (const auto* r = std::get_if<Expr::Ref>(&e->node)) {
-            if (NetInfo* info = lookup(r->name)) fn(r->name, info->width - 1, 0);
+            const int id = lookup(r->name);
+            if (id >= 0) fn(id, nets_[std::size_t(id)].width - 1, 0);
         } else if (const auto* i = std::get_if<Expr::Index>(&e->node)) {
-            check_bounds(i->name, i->index, i->index);
-            if (nets_.count(i->name)) fn(i->name, i->index, i->index);
+            const int id = lookup(i->name);
+            check_bounds(i->name, id, i->index, i->index);
+            if (id >= 0) fn(id, i->index, i->index);
         } else if (const auto* s = std::get_if<Expr::Slice>(&e->node)) {
-            check_bounds(s->name, s->msb, s->lsb);
-            if (nets_.count(s->name)) fn(s->name, s->msb, s->lsb);
+            const int id = lookup(s->name);
+            check_bounds(s->name, id, s->msb, s->lsb);
+            if (id >= 0) fn(id, s->msb, s->lsb);
         } else if (const auto* c = std::get_if<Expr::Concat>(&e->node)) {
             for (const auto& part : c->parts) for_each_lvalue(part, fn);
         }
@@ -176,8 +209,8 @@ private:
     /// Add one continuous driver to every bit of an lvalue (clamped to the
     /// declared range; out-of-range bits were already reported).
     void drive_lvalue(const ExprP& e) {
-        for_each_lvalue(e, [&](const std::string& name, int msb, int lsb) {
-            NetInfo& info = nets_.at(name);
+        for_each_lvalue(e, [&](int id, int msb, int lsb) {
+            NetInfo& info = nets_[std::size_t(id)];
             const int hi = std::min(msb, info.width - 1);
             for (int b = std::max(lsb, 0); b <= hi; ++b)
                 if (info.cont_drivers[std::size_t(b)] < 0xff)
@@ -189,13 +222,47 @@ private:
     std::optional<int> lvalue_width(const ExprP& e) {
         int total = 0;
         bool known = true;
-        for_each_lvalue(e, [&](const std::string& name, int msb, int lsb) {
-            (void)name;
+        for_each_lvalue(e, [&](int, int msb, int lsb) {
             if (msb < lsb) known = false;
             total += msb - lsb + 1;
         });
         if (!known || total == 0) return std::nullopt;
         return total;
+    }
+
+    /// Ids of every declared net `e` mentions, in any position: sorted,
+    /// each once.  Reports nothing.
+    std::vector<int> net_ids(const ExprP& e) const {
+        std::vector<int> ids;
+        collect_ids(e, ids);
+        std::sort(ids.begin(), ids.end());
+        ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+        return ids;
+    }
+
+    void collect_ids(const ExprP& e, std::vector<int>& out) const {
+        if (!e) return;
+        std::visit(
+            [&](const auto& node) {
+                using T = std::decay_t<decltype(node)>;
+                if constexpr (std::is_same_v<T, Expr::Ref> || std::is_same_v<T, Expr::Index> ||
+                              std::is_same_v<T, Expr::Slice>) {
+                    if (const int id = find(node.name); id >= 0) out.push_back(id);
+                } else if constexpr (std::is_same_v<T, Expr::Unary> ||
+                                     std::is_same_v<T, Expr::Signed>) {
+                    collect_ids(node.a, out);
+                } else if constexpr (std::is_same_v<T, Expr::Binary>) {
+                    collect_ids(node.a, out);
+                    collect_ids(node.b, out);
+                } else if constexpr (std::is_same_v<T, Expr::Ternary>) {
+                    collect_ids(node.cond, out);
+                    collect_ids(node.then_e, out);
+                    collect_ids(node.else_e, out);
+                } else if constexpr (std::is_same_v<T, Expr::Concat>) {
+                    for (const auto& part : node.parts) collect_ids(part, out);
+                }
+            },
+            e->node);
     }
 
     /// Natural width of an expression, flagging definite operand-width
@@ -206,9 +273,8 @@ private:
         using rtl::BinaryOp;
         using rtl::UnaryOp;
         if (const auto* r = std::get_if<Expr::Ref>(&e->node)) {
-            const auto it = nets_.find(r->name);
-            return it == nets_.end() ? std::nullopt
-                                     : std::optional<int>(it->second.width);
+            const int id = find(r->name);
+            return id < 0 ? std::nullopt : std::optional<int>(nets_[std::size_t(id)].width);
         }
         if (std::get_if<Expr::Index>(&e->node)) return 1;
         if (const auto* s = std::get_if<Expr::Slice>(&e->node))
@@ -281,9 +347,15 @@ private:
     // -- collection passes --------------------------------------------------
 
     void collect_assigns() {
+        assign_nets_.reserve(mod_.assigns.size());
         for (const auto& a : mod_.assigns) {
             drive_lvalue(a.lhs);
-            mark_read(a.rhs);
+            AssignNets refs;
+            mark_read(a.rhs, false, &refs);
+            std::sort(refs.rhs.begin(), refs.rhs.end());
+            refs.rhs.erase(std::unique(refs.rhs.begin(), refs.rhs.end()), refs.rhs.end());
+            refs.lhs = net_ids(a.lhs);
+            assign_nets_.push_back(std::move(refs));
             const auto lw = lvalue_width(a.lhs);
             const auto rw = infer_width(a.rhs);
             if (lw && rw && *lw != *rw)
@@ -307,10 +379,9 @@ private:
                 using T = std::decay_t<decltype(node)>;
                 if constexpr (std::is_same_v<T, rtl::NonBlocking> ||
                               std::is_same_v<T, rtl::Blocking>) {
-                    for_each_lvalue(node.lhs,
-                                    [&](const std::string& name, int, int) {
-                                        nets_.at(name).always_driven = true;
-                                    });
+                    for_each_lvalue(node.lhs, [&](int id, int, int) {
+                        nets_[std::size_t(id)].always_driven = true;
+                    });
                     // Everything a register consumes is live state.
                     mark_read(node.rhs, true);
                 } else if constexpr (std::is_same_v<T, rtl::IfStmt>) {
@@ -344,8 +415,8 @@ private:
                 for (const auto& [port, conn] : inst.connections) {
                     (void)port;
                     mark_read(conn, true);
-                    for_each_lvalue(conn, [&](const std::string& n, int, int) {
-                        nets_.at(n).ext_connected = true;
+                    for_each_lvalue(conn, [&](int id, int, int) {
+                        nets_[std::size_t(id)].ext_connected = true;
                     });
                 }
                 continue;
@@ -368,8 +439,8 @@ private:
                     // The instance drives this net; reading it elsewhere is
                     // what makes it live.
                     drive_lvalue(conn);
-                    for_each_lvalue(conn, [&](const std::string& n, int, int) {
-                        nets_.at(n).ext_connected = true;
+                    for_each_lvalue(conn, [&](int id, int, int) {
+                        nets_[std::size_t(id)].ext_connected = true;
                     });
                 }
                 const auto cw = port->dir == rtl::PortDir::kInput
@@ -387,7 +458,9 @@ private:
     // -- checks -------------------------------------------------------------
 
     void check_drivers() {
-        for (const auto& [name, info] : nets_) {
+        for (std::size_t id = 0; id < nets_.size(); ++id) {
+            const NetInfo& info = nets_[id];
+            const std::string_view name = names_[id];
             const bool cont = std::any_of(info.cont_drivers.begin(),
                                           info.cont_drivers.end(),
                                           [](std::uint8_t c) { return c > 0; });
@@ -423,51 +496,38 @@ private:
 
     /// Tarjan SCC over the net-level combinational signal graph.
     void check_cycles() {
-        // Node ids for every declared net.
-        std::map<std::string, int> id;
-        std::vector<const std::string*> names;
-        for (const auto& [name, info] : nets_) {
-            (void)info;
-            id.emplace(name, int(names.size()));
-            names.push_back(&name);
-        }
-        std::vector<std::vector<int>> edges(names.size());
-        std::vector<bool> self_loop(names.size(), false);
-        const auto connect = [&](const std::set<std::string>& from,
-                                 const std::set<std::string>& to) {
-            for (const auto& f : from) {
-                const auto fi = id.find(f);
-                if (fi == id.end()) continue;
-                for (const auto& t : to) {
-                    const auto ti = id.find(t);
-                    if (ti == id.end()) continue;
-                    edges[std::size_t(fi->second)].push_back(ti->second);
-                    if (fi->second == ti->second)
-                        self_loop[std::size_t(fi->second)] = true;
+        const std::size_t n_nets = nets_.size();
+        std::vector<std::vector<int>> edges(n_nets);
+        std::vector<bool> self_loop(n_nets, false);
+        const auto connect = [&](const std::vector<int>& from, const std::vector<int>& to) {
+            for (const int f : from)
+                for (const int t : to) {
+                    edges[std::size_t(f)].push_back(t);
+                    if (f == t) self_loop[std::size_t(f)] = true;
                 }
-            }
         };
-        for (const auto& a : mod_.assigns)
-            connect(expr_nets(a.rhs), expr_nets(a.lhs));
+        for (const auto& a : assign_nets_) connect(a.rhs, a.lhs);
         for (const auto& inst : mod_.instances) {
             const Module* target = find_module(inst.module_name);
             // Only purely combinational instances propagate same-cycle.
             if (!target || !target->always_blocks.empty()) continue;
-            std::set<std::string> ins, outs;
+            std::vector<int> ins, outs;
             for (const auto& [port_name, conn] : inst.connections) {
                 const auto port = std::find_if(
                     target->ports.begin(), target->ports.end(),
                     [&](const rtl::Port& p) { return p.name == port_name; });
                 if (port == target->ports.end()) continue;
-                const auto nets = expr_nets(conn);
-                auto& side = port->dir == rtl::PortDir::kInput ? ins : outs;
-                side.insert(nets.begin(), nets.end());
+                collect_ids(conn, port->dir == rtl::PortDir::kInput ? ins : outs);
+            }
+            for (auto* side : {&ins, &outs}) {
+                std::sort(side->begin(), side->end());
+                side->erase(std::unique(side->begin(), side->end()), side->end());
             }
             connect(ins, outs);
         }
 
         // Iterative Tarjan.
-        const int n = int(names.size());
+        const int n = int(n_nets);
         std::vector<int> index(std::size_t(n), -1), low(std::size_t(n), 0);
         std::vector<bool> on_stack(std::size_t(n), false);
         std::vector<int> stack;
@@ -511,7 +571,7 @@ private:
                     } while (w != f.v);
                     if (scc.size() > 1 ||
                         (scc.size() == 1 && self_loop[std::size_t(scc[0])]))
-                        report_cycle(scc, names);
+                        report_cycle(std::move(scc));
                 }
                 const int v = f.v;
                 call.pop_back();
@@ -522,114 +582,83 @@ private:
         }
     }
 
-    void report_cycle(const std::vector<int>& scc,
-                      const std::vector<const std::string*>& names) {
-        std::vector<std::string> members;
-        for (int v : scc) members.push_back(*names[std::size_t(v)]);
-        std::sort(members.begin(), members.end());
+    void report_cycle(std::vector<int> scc) {
+        std::sort(scc.begin(), scc.end());  // ids are in name order
         std::string list;
-        const std::size_t shown = std::min<std::size_t>(members.size(), 8);
+        const std::size_t shown = std::min<std::size_t>(scc.size(), 8);
         for (std::size_t i = 0; i < shown; ++i)
-            list += (i ? " -> " : "") + members[i];
-        if (members.size() > shown)
-            list += " -> ... (" + std::to_string(members.size()) + " nets)";
-        add(check::kCombCycle, Severity::kError, members.front(),
+            list += std::string(i ? " -> " : "") + std::string(names_[std::size_t(scc[i])]);
+        if (scc.size() > shown)
+            list += " -> ... (" + std::to_string(scc.size()) + " nets)";
+        add(check::kCombCycle, Severity::kError, names_[std::size_t(scc.front())],
             "combinational cycle through " + list);
     }
 
-    std::set<std::string> expr_nets(const ExprP& e) const {
-        std::set<std::string> out;
-        collect_nets(e, out);
-        return out;
-    }
-
-    void collect_nets(const ExprP& e, std::set<std::string>& out) const {
-        if (!e) return;
-        std::visit(
-            [&](const auto& node) {
-                using T = std::decay_t<decltype(node)>;
-                if constexpr (std::is_same_v<T, Expr::Ref>) {
-                    out.insert(node.name);
-                } else if constexpr (std::is_same_v<T, Expr::Index>) {
-                    out.insert(node.name);
-                } else if constexpr (std::is_same_v<T, Expr::Slice>) {
-                    out.insert(node.name);
-                } else if constexpr (std::is_same_v<T, Expr::Unary>) {
-                    collect_nets(node.a, out);
-                } else if constexpr (std::is_same_v<T, Expr::Binary>) {
-                    collect_nets(node.a, out);
-                    collect_nets(node.b, out);
-                } else if constexpr (std::is_same_v<T, Expr::Ternary>) {
-                    collect_nets(node.cond, out);
-                    collect_nets(node.then_e, out);
-                    collect_nets(node.else_e, out);
-                } else if constexpr (std::is_same_v<T, Expr::Concat>) {
-                    for (const auto& part : node.parts)
-                        collect_nets(part, out);
-                } else if constexpr (std::is_same_v<T, Expr::Signed>) {
-                    collect_nets(node.a, out);
-                }
-            },
-            e->node);
-    }
-
     /// Dead logic: back-propagate liveness from outputs / registers /
-    /// instances through the continuous assigns.
+    /// instances through the continuous assigns (a least fixpoint, so the
+    /// visiting order does not matter).
     void check_liveness() {
-        for (auto& [name, info] : nets_) {
-            (void)name;
-            info.live = info.live_seed || info.is_output || info.ext_connected;
+        std::vector<bool> live(nets_.size());
+        for (std::size_t id = 0; id < nets_.size(); ++id) {
+            const NetInfo& info = nets_[id];
+            live[id] = info.live_seed || info.is_output || info.ext_connected;
         }
         bool changed = true;
         while (changed) {
             changed = false;
-            for (const auto& a : mod_.assigns) {
-                bool lhs_live = false;
-                for (const auto& t : expr_nets(a.lhs))
-                    if (nets_.count(t) && nets_.at(t).live) lhs_live = true;
-                if (!lhs_live) continue;
-                for (const auto& s : expr_nets(a.rhs)) {
-                    const auto it = nets_.find(s);
-                    if (it != nets_.end() && !it->second.live) {
-                        it->second.live = true;
+            for (const auto& a : assign_nets_) {
+                if (std::none_of(a.lhs.begin(), a.lhs.end(),
+                                 [&](int t) { return live[std::size_t(t)]; }))
+                    continue;
+                for (const int r : a.rhs)
+                    if (!live[std::size_t(r)]) {
+                        live[std::size_t(r)] = true;
                         changed = true;
                     }
-                }
             }
         }
-        for (const auto& [name, info] : nets_) {
+        for (std::size_t id = 0; id < nets_.size(); ++id) {
+            const NetInfo& info = nets_[id];
             const bool cont = std::any_of(info.cont_drivers.begin(),
                                           info.cont_drivers.end(),
                                           [](std::uint8_t c) { return c > 0; });
             // "Driven but never read" is already kUnused; dead-logic is the
             // transitive form - read, but only by other dead logic.
-            if (cont && !info.always_driven && info.read && !info.live)
-                add(check::kDeadLogic, Severity::kWarning, name,
+            if (cont && !info.always_driven && info.read && !live[id])
+                add(check::kDeadLogic, Severity::kWarning, names_[id],
                     "never reaches an output, register, or instance");
         }
     }
 
+    /// Known bit values of every net (LSB first), by net id.
+    using KnownBits = std::vector<std::vector<std::optional<bool>>>;
+
     /// Constant propagation over the continuous assigns; flags nets that
-    /// fold to a constant without being written as one.
+    /// fold to a constant without being written as one.  Assigns fold
+    /// round-robin in declaration order: on a multi-driven net the first
+    /// fold wins.
     void check_constants() {
-        // Known bit values per net (LSB first).
-        std::map<std::string, std::vector<std::optional<bool>>> known;
-        for (const auto& [name, info] : nets_)
-            known.emplace(name, std::vector<std::optional<bool>>(
-                                    std::size_t(std::max(info.width, 1))));
+        KnownBits known(nets_.size());
+        known_count_.assign(nets_.size(), 0);
+        for (std::size_t id = 0; id < nets_.size(); ++id)
+            known[id].resize(std::size_t(std::max(nets_[id].width, 1)));
         bool changed = true;
         std::size_t rounds = 0;
         while (changed && rounds++ < mod_.assigns.size() + 2) {
             changed = false;
-            for (const auto& a : mod_.assigns) {
+            for (std::size_t i = 0; i < mod_.assigns.size(); ++i) {
+                if (!may_fold(assign_nets_[i])) continue;
+                const auto& a = mod_.assigns[i];
                 const auto bits = eval_const(a.rhs, known);
                 if (!bits) continue;
                 changed = assign_known(a.lhs, *bits, known) || changed;
             }
         }
-        for (const auto& a : mod_.assigns) {
+        for (std::size_t i = 0; i < mod_.assigns.size(); ++i) {
+            const auto& a = mod_.assigns[i];
             if (std::get_if<Expr::Const>(&a.rhs->node))
                 continue;  // written as a constant on purpose
+            if (!may_fold(assign_nets_[i])) continue;
             const auto bits = eval_const(a.rhs, known);
             if (!bits) continue;
             std::string value;
@@ -641,41 +670,55 @@ private:
         }
     }
 
+    /// Registers, inputs and externally connected nets never fold.
+    bool never_folds(int id) const {
+        const NetInfo& info = nets_[std::size_t(id)];
+        return info.always_driven || info.is_input || info.ext_connected;
+    }
+
+    /// False when eval_const must fail on this rhs: without a ternary every
+    /// leaf is evaluated, so one net that never folds or has no known bit
+    /// yet fails the whole expression.
+    bool may_fold(const AssignNets& a) const {
+        if (a.rhs_has_ternary) return true;
+        return std::none_of(a.rhs.begin(), a.rhs.end(), [&](int id) {
+            return never_folds(id) || known_count_[std::size_t(id)] == 0;
+        });
+    }
+
     /// Record folded bits into the lvalue's known-bit table.  Returns true
     /// when any bit became newly known.
-    bool assign_known(const ExprP& lhs, const std::vector<bool>& bits,
-                      std::map<std::string, std::vector<std::optional<bool>>>&
-                          known) {
+    bool assign_known(const ExprP& lhs, const std::vector<bool>& bits, KnownBits& known) {
         // Only single-target lvalues participate (concat targets are rare
         // and not worth the bookkeeping).
-        std::string name;
+        int id = -1;
         int lo = 0, hi = -1;
         if (const auto* r = std::get_if<Expr::Ref>(&lhs->node)) {
-            name = r->name;
-            const auto it = nets_.find(name);
-            if (it == nets_.end()) return false;
-            hi = it->second.width - 1;
+            id = find(r->name);
+            if (id < 0) return false;
+            hi = nets_[std::size_t(id)].width - 1;
         } else if (const auto* i = std::get_if<Expr::Index>(&lhs->node)) {
-            name = i->name;
+            id = find(i->name);
             lo = hi = i->index;
         } else if (const auto* s = std::get_if<Expr::Slice>(&lhs->node)) {
-            name = s->name;
+            id = find(s->name);
             lo = s->lsb;
             hi = s->msb;
         } else {
             return false;
         }
-        const auto it = known.find(name);
-        if (it == known.end()) return false;
+        if (id < 0) return false;
+        auto& slots = known[std::size_t(id)];
         bool changed = false;
         for (int b = lo; b <= hi && b - lo < int(bits.size()); ++b) {
-            if (b < 0 || b >= int(it->second.size())) continue;
-            auto& slot = it->second[std::size_t(b)];
+            if (b < 0 || b >= int(slots.size())) continue;
+            auto& slot = slots[std::size_t(b)];
             const bool v = bits[std::size_t(b - lo)];
             if (!slot || *slot != v) {
                 // Conflicting folds (multi-driver nets) stay unknown.
                 if (slot && *slot != v) return false;
                 slot = v;
+                ++known_count_[std::size_t(id)];
                 changed = true;
             }
         }
@@ -684,9 +727,7 @@ private:
 
     /// Fold an expression to definite bits (LSB first); nullopt when any
     /// leaf is unknown or the operator is outside the supported set.
-    std::optional<std::vector<bool>> eval_const(
-        const ExprP& e,
-        const std::map<std::string, std::vector<std::optional<bool>>>& known) {
+    std::optional<std::vector<bool>> eval_const(const ExprP& e, const KnownBits& known) const {
         if (!e) return std::nullopt;
         using rtl::BinaryOp;
         using rtl::UnaryOp;
@@ -698,34 +739,30 @@ private:
                 bits[std::size_t(b)] = (c->value >> b) & 1;
             return bits;
         }
-        const auto net_bits = [&](const std::string& name, int lo,
+        const auto net_bits = [&](const std::string& name, bool whole, int lo,
                                   int hi) -> std::optional<Bits> {
-            const auto it = known.find(name);
-            if (it == known.end()) return std::nullopt;
-            // Registers and inputs never fold.
-            const auto ni = nets_.find(name);
-            if (ni == nets_.end() || ni->second.always_driven ||
-                ni->second.is_input || ni->second.ext_connected)
-                return std::nullopt;
-            if (lo < 0 || hi >= int(it->second.size()) || hi < lo)
-                return std::nullopt;
+            const int id = find(name);
+            if (id < 0 || never_folds(id)) return std::nullopt;
+            const auto& slots = known[std::size_t(id)];
+            if (whole) {
+                lo = 0;
+                hi = nets_[std::size_t(id)].width - 1;
+            }
+            if (lo < 0 || hi >= int(slots.size()) || hi < lo) return std::nullopt;
             Bits bits;
             for (int b = lo; b <= hi; ++b) {
-                const auto& slot = it->second[std::size_t(b)];
+                const auto& slot = slots[std::size_t(b)];
                 if (!slot) return std::nullopt;
                 bits.push_back(*slot);
             }
             return bits;
         };
-        if (const auto* r = std::get_if<Expr::Ref>(&e->node)) {
-            const auto it = nets_.find(r->name);
-            if (it == nets_.end()) return std::nullopt;
-            return net_bits(r->name, 0, it->second.width - 1);
-        }
+        if (const auto* r = std::get_if<Expr::Ref>(&e->node))
+            return net_bits(r->name, true, 0, 0);
         if (const auto* i = std::get_if<Expr::Index>(&e->node))
-            return net_bits(i->name, i->index, i->index);
+            return net_bits(i->name, false, i->index, i->index);
         if (const auto* s = std::get_if<Expr::Slice>(&e->node))
-            return net_bits(s->name, s->lsb, s->msb);
+            return net_bits(s->name, false, s->lsb, s->msb);
         if (const auto* u = std::get_if<Expr::Unary>(&e->node)) {
             auto a = eval_const(u->a, known);
             if (!a) return std::nullopt;
@@ -808,7 +845,11 @@ private:
     const std::vector<const Module*>& scope_;
     std::vector<Finding>& findings_;
     std::string where_;
-    std::map<std::string, NetInfo> nets_;
+    std::unordered_map<std::string_view, int> ids_;  ///< name -> net id
+    std::vector<std::string_view> names_;            ///< by id (= name order)
+    std::vector<NetInfo> nets_;                      ///< by id
+    std::vector<AssignNets> assign_nets_;            ///< per assign, in order
+    std::vector<std::size_t> known_count_;           ///< known constant bits, by id
     std::set<std::string> unknown_reported_;
 };
 

@@ -80,34 +80,9 @@ std::vector<TernaryWord> ternary_evaluate(
     return out;
 }
 
-namespace {
-
-/// The backward walk from PO `po`: every node of its cone - PIs and ANDs,
-/// not the constant - in index (= topological) order.
-std::vector<std::uint32_t> cone_nodes(const logic::Aig& aig, std::size_t po) {
-    std::vector<bool> seen(aig.num_nodes(), false);
-    std::vector<std::uint32_t> cone;
-    std::vector<std::uint32_t> stack{logic::lit_node(aig.po(po))};
-    while (!stack.empty()) {
-        const std::uint32_t n = stack.back();
-        stack.pop_back();
-        if (n == 0 || seen[n]) continue;
-        seen[n] = true;
-        cone.push_back(n);
-        if (aig.is_and(n)) {
-            stack.push_back(logic::lit_node(aig.node_fanin0(n)));
-            stack.push_back(logic::lit_node(aig.node_fanin1(n)));
-        }
-    }
-    std::sort(cone.begin(), cone.end());
-    return cone;
-}
-
-}  // namespace
-
 std::vector<bool> po_support(const logic::Aig& aig, std::size_t po) {
     std::vector<bool> support(aig.num_pis(), false);
-    for (const std::uint32_t n : cone_nodes(aig, po))
+    for (const std::uint32_t n : aig.cone(aig.po(po)))
         if (aig.is_pi(n)) support[aig.pi_index(n)] = true;
     return support;
 }
@@ -119,12 +94,24 @@ XCheckResult check_x_insensitive(const logic::Aig& aig, std::size_t po,
         throw std::invalid_argument("check_x_insensitive: care mask size");
     XCheckResult r;
 
+    // Exhaustive when the cared cube is small (<= 4096 assignments = 64
+    // sweeps); random 64-lane sweeps otherwise.
+    std::size_t small_cube = 0;  // cared PIs, counted up to 13
+    for (std::size_t i = 0; i < care.size() && small_cube <= 12; ++i) small_cube += care[i];
+    const bool exhaustive = small_cube <= 12;
+    const std::size_t sweeps =
+        exhaustive ? ((std::size_t(1) << small_cube) + 63) / 64 : random_rounds;
+
     // Only the PO's cone can reach it, so each sweep simulates just that,
     // in cone-local slots: slot 0 holds constant 0 and cone[k] slot k + 1.
     // The lanes are the ones ternary_simulate would give this PO, and the
     // only per-call array sized by the whole AIG is the walk's one bit per
     // node.  A slot literal is slot << 1 | complement.
-    const auto cone = cone_nodes(aig, po);
+    const auto cone = aig.cone(aig.po(po));
+    r.proved_structural = std::none_of(cone.begin(), cone.end(), [&](std::uint32_t n) {
+        return aig.is_pi(n) && !care[aig.pi_index(n)];
+    });
+    if (sweeps == 0) return r;  // nothing to simulate: the walk is the verdict
     const auto slot_lit = [&](logic::Lit l) {
         const std::uint32_t n = logic::lit_node(l);
         const std::uint32_t slot =
@@ -138,13 +125,10 @@ XCheckResult check_x_insensitive(const logic::Aig& aig, std::size_t po,
     };
     std::vector<Gate> gates;
     std::vector<std::pair<std::size_t, std::uint32_t>> cone_pis;  ///< (PI index, slot)
-    r.proved_structural = true;
     for (std::uint32_t k = 0; k < cone.size(); ++k) {
         const std::uint32_t n = cone[k];
         if (aig.is_pi(n)) {
-            const std::size_t i = aig.pi_index(n);
-            cone_pis.emplace_back(i, k + 1);
-            if (!care[i]) r.proved_structural = false;
+            cone_pis.emplace_back(aig.pi_index(n), k + 1);
         } else {
             gates.push_back({k + 1, slot_lit(aig.node_fanin0(n)), slot_lit(aig.node_fanin1(n))});
         }
@@ -163,13 +147,8 @@ XCheckResult check_x_insensitive(const logic::Aig& aig, std::size_t po,
                                                                               : 0);
     }
 
-    // Exhaustive when the cared cube is small (<= 4096 assignments = 64
-    // sweeps); random 64-lane sweeps otherwise.
     const std::size_t cared = cared_slot.size();
-    const bool exhaustive = cared <= 12;
     util::Xoshiro256ss rng(seed);
-    const std::size_t sweeps =
-        exhaustive ? ((std::size_t(1) << cared) + 63) / 64 : random_rounds;
     // Don't-care cone PIs stay X in every sweep.
     std::vector<TernaryWord> vals(cone.size() + 1, ternary_x());
     vals[0] = ternary_const(0);

@@ -84,7 +84,8 @@ struct XCheckResult {
 /// Prove (or refute) that PO `po` is insensitive to every PI whose
 /// `care[i]` is false.  Don't-care PIs are held at X; cared PIs sweep
 /// exhaustively when 2^|care| <= 4096, otherwise `random_rounds` 64-lane
-/// random sweeps seeded by `seed`.  Each sweep simulates only the PO's
+/// random sweeps seeded by `seed` (at 0 rounds the cone walk's structural
+/// verdict is the whole answer).  Each sweep simulates only the PO's
 /// cone; the verdict equals one computed with ternary_simulate over the
 /// whole AIG.
 XCheckResult check_x_insensitive(const logic::Aig& aig, std::size_t po,

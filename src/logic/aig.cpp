@@ -70,6 +70,25 @@ std::uint32_t Aig::depth() const {
     return d;
 }
 
+std::vector<std::uint32_t> Aig::cone(Lit root) const {
+    std::vector<bool> seen(nodes_.size(), false);
+    std::vector<std::uint32_t> nodes;
+    std::vector<std::uint32_t> stack{lit_node(root)};
+    while (!stack.empty()) {
+        const std::uint32_t n = stack.back();
+        stack.pop_back();
+        if (n == 0 || seen[n]) continue;
+        seen[n] = true;
+        nodes.push_back(n);
+        if (is_and(n)) {
+            stack.push_back(lit_node(nodes_[n].fanin0));
+            stack.push_back(lit_node(nodes_[n].fanin1));
+        }
+    }
+    std::sort(nodes.begin(), nodes.end());
+    return nodes;
+}
+
 std::size_t Aig::count_reachable_ands() const {
     std::vector<bool> seen(nodes_.size(), false);
     std::deque<std::uint32_t> work;

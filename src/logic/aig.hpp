@@ -87,6 +87,10 @@ public:
     /// Maximum level over the POs.
     std::uint32_t depth() const;
 
+    /// The fan-in cone of `root`: every PI and AND node it reads, not the
+    /// constant, in index (= topological) order.
+    std::vector<std::uint32_t> cone(Lit root) const;
+
     /// Number of AND nodes reachable from the POs (dead nodes excluded).
     std::size_t count_reachable_ands() const;
 

@@ -4,8 +4,10 @@
 //   1. expression level : exported clause expressions vs the TrainedModel,
 //   2. netlist level    : per-HCB AIGs vs partial-clause expression
 //                         semantics, chained end to end,
-//   3. RTL text level   : emitted hcb_*_comb Verilog parsed back and
-//                         co-simulated against the generator's AIG
+//   3. RTL text level   : the design's hcb_*_comb modules emitted,
+//                         parsed back under the design's own strash flag
+//                         and compared with the generator's AIG: identical
+//                         AIGER bytes are a proof; otherwise co-simulation
 //                         (random 64-way sweeps + exhaustive when small).
 //
 // System-level (cycle-accurate, streaming) verification lives in the core
@@ -36,15 +38,22 @@ struct VerificationReport {
 };
 
 /// Run the full ladder on a generated design.
-/// `random_vectors` full input vectors drive levels 1-2; level 3 runs
-/// `random_vectors` 64-way sweeps per HCB plus an exhaustive check when an
-/// HCB has at most 16 inputs.
+/// `random_vectors` full input vectors drive levels 1-2; level 3 checks
+/// each of `design.hcb_comb` against its HCB (check_hcb_module_text), with
+/// `random_vectors` 64-way sweeps for any HCB whose bytes differ.
+/// `hcbs_checked` counts the HCBs that passed level 3 either way.
 VerificationReport verify_design(const RtlDesign& design,
                                  const model::TrainedModel& m,
                                  std::size_t random_vectors, std::uint64_t seed);
 
-/// Level-3 only, for one HCB: emit -> parse back -> equivalence check.
-bool cosim_hcb_module(const HcbNetlist& hcb, std::size_t random_rounds,
-                      std::uint64_t seed, std::string* error = nullptr);
+/// Level 3 for one HCB, from its comb module's Verilog text: parse it
+/// under `hcb.aig.strash_enabled()`; when the parsed AIG's binary AIGER
+/// equals the generator's, the text is proved equivalent.  Otherwise
+/// co-simulate: `random_rounds` 64-way sweeps, plus an exhaustive check
+/// when the HCB has at most 16 inputs.  False (with `error` set) on a parse
+/// error, an I/O shape mismatch or a co-simulation mismatch.
+bool check_hcb_module_text(const HcbNetlist& hcb, const std::string& text,
+                           std::size_t random_rounds, std::uint64_t seed,
+                           std::string* error = nullptr);
 
 }  // namespace matador::rtl

@@ -188,13 +188,25 @@ private:
         if (t.text != word) lex_.fail("expected '" + word + "', got '" + t.text + "'");
     }
 
+    /// A bit index or range bound, below kMaxBits so that a width (msb + 1)
+    /// neither overflows nor asks for an absurd allocation.
+    int parse_index() {
+        const std::string digits = expect(Tok::kNumber).text;
+        long long v = 0;
+        for (const char c : digits) {
+            v = v * 10 + (c - '0');
+            if (v >= kMaxBits) lex_.fail("index " + digits + " too large");
+        }
+        return int(v);
+    }
+
     int parse_range_or_one() {
         // "[msb:lsb]" -> width; absent -> 1.  Only lsb == 0 is supported.
         if (lex_.peek().kind != Tok::kLBracket) return 1;
         lex_.next();
-        const int msb = std::stoi(expect(Tok::kNumber).text);
+        const int msb = parse_index();
         expect(Tok::kColon);
-        const int lsb = std::stoi(expect(Tok::kNumber).text);
+        const int lsb = parse_index();
         expect(Tok::kRBracket);
         if (lsb != 0) lex_.fail("only [msb:0] ranges supported");
         return msb + 1;
@@ -265,7 +277,7 @@ private:
         int bit = 0;
         if (lex_.peek().kind == Tok::kLBracket) {
             lex_.next();
-            bit = std::stoi(expect(Tok::kNumber).text);
+            bit = parse_index();
             expect(Tok::kRBracket);
         } else if (it->second.width != 1) {
             lex_.fail("whole-vector assigns not supported");
@@ -309,17 +321,22 @@ private:
         return v;
     }
     Lit parse_unary() {
-        if (lex_.peek().kind == Tok::kTilde) {
+        bool invert = false;
+        while (lex_.peek().kind == Tok::kTilde) {
             lex_.next();
-            return logic::lit_not(parse_unary());
+            invert = !invert;
         }
-        return parse_atom();
+        const Lit v = parse_atom();
+        return invert ? logic::lit_not(v) : v;
     }
     Lit parse_atom() {
         const Token t = lex_.next();
         if (t.kind == Tok::kLParen) {
+            // Parentheses recurse: bound the depth, not the stack.
+            if (++depth_ > kMaxNesting) lex_.fail("parentheses nested too deeply");
             const Lit v = parse_expr();
             expect(Tok::kRParen);
+            --depth_;
             return v;
         }
         if (t.kind == Tok::kBitConst)
@@ -330,7 +347,7 @@ private:
         int bit = 0;
         if (lex_.peek().kind == Tok::kLBracket) {
             lex_.next();
-            bit = std::stoi(expect(Tok::kNumber).text);
+            bit = parse_index();
             expect(Tok::kRBracket);
         } else if (it->second.width != 1) {
             lex_.fail("whole-vector use of '" + t.text + "' not supported");
@@ -357,7 +374,11 @@ private:
         }
     }
 
+    static constexpr long long kMaxBits = 1 << 22;
+    static constexpr int kMaxNesting = 256;
+
     Lexer lex_;
+    int depth_ = 0;
     ParsedModule out_;
     std::unordered_map<std::string, SignalInfo> signals_;
     std::vector<std::string> output_order_;

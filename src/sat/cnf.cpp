@@ -1,6 +1,19 @@
 #include "sat/cnf.hpp"
 
+#include <algorithm>
+
 namespace matador::sat {
+
+namespace {
+
+/// g <-> a & b.
+void gate_clauses(Cnf& cnf, Lit g, Lit a, Lit b) {
+    cnf.binary(neg(g), a);
+    cnf.binary(neg(g), b);
+    cnf.ternary(g, neg(a), neg(b));
+}
+
+}  // namespace
 
 AigCnf encode_aig(const logic::Aig& aig) {
     AigCnf enc;
@@ -13,12 +26,10 @@ AigCnf encode_aig(const logic::Aig& aig) {
 
     // One variable per PI, in PI order.
     std::vector<Var> node_var(aig.num_nodes(), 0);
-    std::vector<bool> has_var(aig.num_nodes(), false);
     enc.pi_lits.reserve(aig.num_pis());
     for (std::size_t i = 0; i < aig.num_pis(); ++i) {
         const auto node = logic::lit_node(aig.pi(i));
         node_var[node] = cnf.new_var();
-        has_var[node] = true;
         enc.pi_lits.push_back(mk_lit(node_var[node]));
     }
 
@@ -57,14 +68,8 @@ AigCnf encode_aig(const logic::Aig& aig) {
         if (!in_cone[node] || !aig.is_and(node)) continue;
         const Lit a = cnf_lit(aig.node_fanin0(node));
         const Lit b = cnf_lit(aig.node_fanin1(node));
-        const Var v = cnf.new_var();
-        node_var[node] = v;
-        has_var[node] = true;
-        const Lit g = mk_lit(v);
-        // g <-> a & b.
-        cnf.binary(neg(g), a);
-        cnf.binary(neg(g), b);
-        cnf.ternary(g, neg(a), neg(b));
+        node_var[node] = cnf.new_var();
+        gate_clauses(cnf, mk_lit(node_var[node]), a, b);
         enc.gates_encoded++;
     }
 
@@ -73,8 +78,37 @@ AigCnf encode_aig(const logic::Aig& aig) {
         enc.po_lits.push_back(cnf_lit(aig.po(o)));
 
     if (const_used) cnf.unit(mk_lit(const_var, true));
-    (void)has_var;
     return enc;
+}
+
+ConeCnf encode_cone(const logic::Aig& aig, logic::Lit root) {
+    ConeCnf out;
+    Cnf& cnf = out.cnf;
+    const Var const_var = cnf.new_var();
+    bool const_used = false;
+
+    // cone[k] gets variable k + 1.
+    const auto cone = aig.cone(root);
+    const auto cnf_lit = [&](logic::Lit l) -> Lit {
+        const std::uint32_t n = logic::lit_node(l);
+        if (n == 0) {
+            const_used = true;
+            return mk_lit(const_var, logic::lit_complement(l));
+        }
+        const auto k = std::lower_bound(cone.begin(), cone.end(), n) - cone.begin();
+        return mk_lit(Var(k + 1), logic::lit_complement(l));
+    };
+    for (const std::uint32_t n : cone) {
+        const Lit v = mk_lit(cnf.new_var());
+        if (aig.is_pi(n))
+            out.pis.emplace_back(aig.pi_index(n), v);
+        else
+            gate_clauses(cnf, v, cnf_lit(aig.node_fanin0(n)), cnf_lit(aig.node_fanin1(n)));
+    }
+    out.root = cnf_lit(root);
+    std::sort(out.pis.begin(), out.pis.end());
+    if (const_used) cnf.unit(mk_lit(const_var, true));
+    return out;
 }
 
 }  // namespace matador::sat

@@ -1,4 +1,4 @@
-// CNF formulas and the Tseitin encoder from logic::Aig.
+// CNF formulas and the Tseitin encoders from logic::Aig.
 //
 // The SAT tier of the verify ladder works on plain clause lists.  Variables
 // and literals use the MiniSat packing (lit = 2*var + sign) so clause
@@ -6,10 +6,13 @@
 // only the PO-reachable cone of an AIG - structural hashing has already
 // collapsed shared cones to single nodes, so each shared node costs its
 // three Tseitin clauses exactly once - and constant fanouts fold to unit
-// clauses instead of gate clauses.
+// clauses instead of gate clauses.  encode_cone goes further and numbers
+// only one literal's cone, PIs included, so a query about one output of a
+// large AIG costs what its cone costs.
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "logic/aig.hpp"
@@ -66,5 +69,19 @@ struct AigCnf {
 /// returned formula under assumptions on pi_lits / po_lits to ask
 /// per-output or per-cube questions without re-encoding.
 AigCnf encode_aig(const logic::Aig& aig);
+
+/// Tseitin encoding of the fan-in cone of one literal.  Var 0 is the
+/// constant-false variable (pinned by a unit clause only when the cone
+/// reads a constant); then the cone's nodes in node order, PIs and ANDs
+/// alike.  Nothing outside the cone gets a variable.
+struct ConeCnf {
+    Cnf cnf;
+    /// CNF literal of the encoded root.
+    Lit root = kLitUndef;
+    /// The cone's PIs as (PI ordinal, CNF literal), ascending ordinal.
+    std::vector<std::pair<std::size_t, Lit>> pis;
+};
+
+ConeCnf encode_cone(const logic::Aig& aig, logic::Lit root);
 
 }  // namespace matador::sat

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <limits>
-#include <memory>
+#include <mutex>
 #include <stdexcept>
 
 #include "lint/ternary.hpp"
@@ -29,15 +29,12 @@ struct Obligation {
 /// spread over every worker.
 constexpr std::size_t kOutputsPerJob = 64;
 
-/// Miter + CNF encoding of one HCB, shared by its output obligations, and
-/// a solver loaded with that CNF.  Each obligation solves a copy of the
-/// template: a copy is in exactly the state a fresh Solver(enc.cnf) would
-/// be, without re-adding every clause.
-struct HcbContext {
-    HcbMiter miter;
-    AigCnf enc;
-    Solver solver;  ///< never solved itself
-};
+/// Close `span`; `make_args` builds its args only when a trace records them.
+template <class MakeArgs>
+double finish_span(obs::TimedSpan& span, MakeArgs&& make_args) {
+    if (!obs::TraceRecorder::instance().enabled()) return span.finish();
+    return span.finish(make_args());
+}
 
 void record_metrics(const SolverStats& s, double seconds) {
     auto& reg = obs::MetricsRegistry::global();
@@ -47,7 +44,11 @@ void record_metrics(const SolverStats& s, double seconds) {
     reg.histogram("sat_proof_seconds").record(seconds);
 }
 
-OutputProof prove_output(const rtl::HcbNetlist& hcb, const HcbContext& ctx,
+/// One output obligation: "netlist output `local` differs from its scalar
+/// clause", solved over the CNF of that one miter PO's cone.  Its cost is
+/// set by the cone, not by the HCB: the solver and its RUP replay see only
+/// the cone.
+OutputProof prove_output(const rtl::HcbNetlist& hcb, const HcbMiter& miter,
                          const model::TrainedModel& m, const Obligation& ob,
                          const ProveOptions& options) {
     obs::TimedSpan span("prove-output", "sat");
@@ -61,35 +62,27 @@ OutputProof prove_output(const rtl::HcbNetlist& hcb, const HcbContext& ctx,
     const std::size_t cpc = m.clauses_per_class();
     const auto& clause = m.clause(ob.clause_id / cpc, ob.clause_id % cpc);
 
-    std::vector<Lit> assumptions;
-    assumptions.push_back(ctx.enc.po_lits[ob.local]);
-
-    if (options.use_cared_cube) {
-        // Per-output care set over the netlist PIs: the clause's own
-        // includes; chain inputs always cared.
-        std::vector<bool> care(hcb.aig.num_pis(), true);
-        bool any_dont_care = false;
-        for (std::size_t f = spec.lo; f < spec.hi; ++f) {
-            const bool cared = clause.include_pos.get(f) || clause.include_neg.get(f);
-            care[f - spec.lo] = cared;
-            any_dont_care = any_dont_care || !cared;
-        }
-        if (any_dont_care) {
-            // Pinning don't-care bits to 0 shrinks the witness space, so it
-            // is sound only when the netlist output provably cannot observe
-            // them - re-run the ternary rung's proof instead of trusting a
-            // cached verdict.
-            const auto check = lint::check_x_insensitive(
-                hcb.aig, ob.local, care, options.ternary_rounds, options.seed);
-            if (check.proved()) {
-                p.cared_cube = true;
-                for (std::size_t b = 0; b + spec.lo < spec.hi; ++b)
-                    if (!care[b]) assumptions.push_back(neg(ctx.enc.pi_lits[b]));
-            }
-        }
+    // Per-output care set over the netlist PIs: the clause's own includes;
+    // chain inputs always cared.
+    std::vector<bool> care(hcb.aig.num_pis(), true);
+    bool any_dont_care = false;
+    for (std::size_t f = spec.lo; f < spec.hi; ++f) {
+        care[f - spec.lo] = clause.include_pos.get(f) || clause.include_neg.get(f);
+        any_dont_care = any_dont_care || !care[f - spec.lo];
     }
+    // Pinning don't-care bits to 0 shrinks the witness space, so it is
+    // sound only when the netlist output provably cannot observe them.  No
+    // random sweeps: above the exhaustive size they never prove anything.
+    if (options.use_cared_cube && any_dont_care)
+        p.cared_cube = lint::check_x_insensitive(hcb.aig, ob.local, care, 0, 0).proved();
 
-    Solver solver = ctx.solver;
+    const ConeCnf cone = encode_cone(miter.aig, miter.aig.po(ob.local));
+    std::vector<Lit> assumptions{cone.root};
+    if (p.cared_cube)
+        for (const auto& [pi, lit] : cone.pis)
+            if (!care[pi]) assumptions.push_back(neg(lit));
+
+    Solver solver(cone.cnf);
     solver.set_max_conflicts(options.max_conflicts);
     const SolveResult res = solver.solve(assumptions);
     p.stats = solver.stats();
@@ -99,9 +92,10 @@ OutputProof prove_output(const rtl::HcbNetlist& hcb, const HcbContext& ctx,
         p.result = p.proof_checked ? SolveResult::kUnsat : SolveResult::kUnknown;
     } else if (res == SolveResult::kSat) {
         p.result = SolveResult::kSat;
-        p.counterexample.reserve(ctx.enc.pi_lits.size());
-        for (const Lit l : ctx.enc.pi_lits)
-            p.counterexample.push_back(solver.model_lit(l));
+        // Every HCB PI in PI order; those outside the cone cannot matter
+        // and read 0.
+        p.counterexample.assign(hcb.aig.num_pis(), false);
+        for (const auto& [pi, lit] : cone.pis) p.counterexample[pi] = solver.model_lit(lit);
         // Re-simulate the witness outside the solver: the netlist PO and the
         // scalar partial clause must actually disagree on it.
         util::BitVector x(m.num_features());
@@ -119,11 +113,13 @@ OutputProof prove_output(const rtl::HcbNetlist& hcb, const HcbContext& ctx,
         p.result = SolveResult::kUnknown;
     }
 
-    util::Json args = util::Json::object();
-    args.set("output", double(p.output));
-    args.set("result", solve_result_name(p.result));
-    args.set("conflicts", double(p.stats.conflicts));
-    p.seconds = span.finish(std::move(args));
+    p.seconds = finish_span(span, [&] {
+        util::Json args = util::Json::object();
+        args.set("output", double(p.output));
+        args.set("result", solve_result_name(p.result));
+        args.set("conflicts", double(p.stats.conflicts));
+        return args;
+    });
     record_metrics(p.stats, p.seconds);
     return p;
 }
@@ -159,43 +155,31 @@ logic::Lit or_reduce(logic::Aig& aig, const std::vector<logic::Lit>& lits) {
     return r;
 }
 
-/// OR over live clauses of (a_state XOR b_state).
-logic::Lit state_diff(logic::Aig& aig, const std::vector<std::uint32_t>& live,
-                      const std::vector<logic::Lit>& a, const std::vector<logic::Lit>& b) {
+/// (a_state XOR b_state) per live clause, in `live` order.
+std::vector<logic::Lit> state_xors(logic::Aig& aig, const std::vector<std::uint32_t>& live,
+                                   const std::vector<logic::Lit>& a,
+                                   const std::vector<logic::Lit>& b) {
     std::vector<logic::Lit> xors;
     xors.reserve(live.size());
     for (const auto cid : live) xors.push_back(aig.create_xor(a[cid], b[cid]));
-    return or_reduce(aig, xors);
+    return xors;
 }
 
-InductionCase solve_case(const logic::Aig& aig,
-                         const std::vector<std::size_t>& assume_true,
-                         const std::vector<std::size_t>& assume_false,
-                         bool is_base, std::size_t index,
-                         const ProveOptions& options) {
-    obs::TimedSpan span(is_base ? "induction-base" : "induction-step", "sat");
-    InductionCase c;
-    c.is_base = is_base;
-    c.index = index;
+/// One induction obligation as an unrolled AIG: is there an assignment
+/// with every `assume_true` PO at 1 and every `assume_false` PO at 0?
+/// assume_true[0] is the goal, a disagreement between the two sides: the
+/// OR of the state XORs in `goal_terms`, the ones strash did not fold to 0.
+struct Window {
+    logic::Aig aig;
+    std::vector<std::size_t> assume_true, assume_false;
+    std::vector<logic::Lit> goal_terms;
 
-    const AigCnf enc = encode_aig(aig);
-    Solver solver(enc.cnf);
-    solver.set_max_conflicts(options.max_conflicts);
-    std::vector<Lit> assumptions;
-    for (const auto po : assume_true) assumptions.push_back(enc.po_lits[po]);
-    for (const auto po : assume_false) assumptions.push_back(neg(enc.po_lits[po]));
-    const SolveResult res = solver.solve(assumptions);
-    c.stats = solver.stats();
-    if (res == SolveResult::kUnsat) {
-        c.proof_checked = solver.verify_unsat();
-        c.result = c.proof_checked ? SolveResult::kUnsat : SolveResult::kUnknown;
-    } else {
-        c.result = res;
+    void add_goal(const std::vector<logic::Lit>& xors) {
+        assume_true.push_back(aig.add_po(or_reduce(aig, xors)));
+        for (const logic::Lit x : xors)
+            if (x != logic::kConst0) goal_terms.push_back(x);
     }
-    c.seconds = span.finish();
-    record_metrics(c.stats, c.seconds);
-    return c;
-}
+};
 
 std::vector<logic::Lit> make_packet_pis(logic::Aig& aig, const rtl::HcbSpec& spec) {
     std::vector<logic::Lit> bits(spec.hi - spec.lo);
@@ -205,27 +189,24 @@ std::vector<logic::Lit> make_packet_pis(logic::Aig& aig, const rtl::HcbSpec& spe
 
 /// Base case d: unroll stages 0..d from reset (both sides all-1) and prove
 /// the state vectors equal after stage d.
-InductionCase base_case(const std::vector<rtl::HcbNetlist>& hcbs,
-                        const model::TrainedModel& m,
-                        const std::vector<std::uint32_t>& live, std::size_t d,
-                        const ProveOptions& options) {
-    logic::Aig aig;
+Window base_window(const std::vector<rtl::HcbNetlist>& hcbs, const model::TrainedModel& m,
+                   const std::vector<std::uint32_t>& live, std::size_t d) {
+    Window w;
     std::vector<logic::Lit> n_state(m.total_clauses(), logic::kConst1);
     std::vector<logic::Lit> c_state(m.total_clauses(), logic::kConst1);
     for (std::size_t s = 0; s <= d; ++s)
-        apply_stage(hcbs[s], m, aig, make_packet_pis(aig, hcbs[s].spec), n_state, c_state);
-    const auto po = aig.add_po(state_diff(aig, live, n_state, c_state));
-    return solve_case(aig, {po}, {}, /*is_base=*/true, d, options);
+        apply_stage(hcbs[s], m, w.aig, make_packet_pis(w.aig, hcbs[s].spec), n_state, c_state);
+    w.add_goal(state_xors(w.aig, live, n_state, c_state));
+    return w;
 }
 
 /// Step window t: free (shared) entry state at time t, transitions through
 /// stages t+1..t+k, equality assumed at times t..t+k-1, pairwise-distinct
 /// netlist state vectors along the window, equality proved at time t+k.
-InductionCase step_case(const std::vector<rtl::HcbNetlist>& hcbs,
-                        const model::TrainedModel& m,
-                        const std::vector<std::uint32_t>& live, std::size_t t,
-                        std::size_t k, const ProveOptions& options) {
-    logic::Aig aig;
+Window step_window(const std::vector<rtl::HcbNetlist>& hcbs, const model::TrainedModel& m,
+                   const std::vector<std::uint32_t>& live, std::size_t t, std::size_t k) {
+    Window w;
+    logic::Aig& aig = w.aig;
     std::vector<logic::Lit> n_state(m.total_clauses(), logic::kConst1);
     std::vector<logic::Lit> c_state(m.total_clauses(), logic::kConst1);
     for (const auto cid : live) {
@@ -234,24 +215,89 @@ InductionCase step_case(const std::vector<rtl::HcbNetlist>& hcbs,
         c_state[cid] = entry;
     }
     std::vector<std::vector<logic::Lit>> n_snapshots{n_state};
-    std::vector<std::size_t> assume_true, assume_false;
     for (std::size_t off = 1; off <= k; ++off) {
         const std::size_t s = t + off;
         apply_stage(hcbs[s], m, aig, make_packet_pis(aig, hcbs[s].spec), n_state, c_state);
         n_snapshots.push_back(n_state);
-        const auto po = aig.add_po(state_diff(aig, live, n_state, c_state));
-        if (off < k)
-            assume_false.push_back(po);  // induction hypothesis: sides equal
-        else
-            assume_true.push_back(po);  // goal: a disagreement at t+k
+        if (off < k)  // induction hypothesis: sides equal
+            w.assume_false.push_back(
+                aig.add_po(or_reduce(aig, state_xors(aig, live, n_state, c_state))));
+        else  // goal: a disagreement at t+k
+            w.add_goal(state_xors(aig, live, n_state, c_state));
     }
     // Uniqueness: the netlist state vectors along the window are pairwise
     // distinct (the simple-path strengthening of k-induction).
     for (std::size_t i = 0; i < n_snapshots.size(); ++i)
         for (std::size_t j = i + 1; j < n_snapshots.size(); ++j)
-            assume_true.push_back(
-                aig.add_po(state_diff(aig, live, n_snapshots[i], n_snapshots[j])));
-    return solve_case(aig, assume_true, assume_false, /*is_base=*/false, t, options);
+            w.assume_true.push_back(aig.add_po(
+                or_reduce(aig, state_xors(aig, live, n_snapshots[i], n_snapshots[j]))));
+    return w;
+}
+
+/// Build base case `index` (is_base) or step window `index` and solve it.
+/// The goal is the OR of its terms, so it is first refuted term by term:
+/// each term alone, over the CNF of its own AIG cone.  When every term is
+/// refuted the goal is constant 0 and the case is UNSAT without encoding
+/// the window.  Otherwise the window is solved under the case's own
+/// assumptions (goal, uniqueness, hypotheses), and that is the verdict.
+/// A window's CNF holds the whole stage and the uniqueness OR, so a search
+/// over it re-decides ~1,200 variables outside the next conflict's cone
+/// after every conflict; a term's CNF holds only what the term reads.
+/// Every UNSAT replays as RUP over its own CNF, and the term solves and the
+/// window solve share the case's conflict budget.
+InductionCase prove_case(const std::vector<rtl::HcbNetlist>& hcbs,
+                         const model::TrainedModel& m, const std::vector<std::uint32_t>& live,
+                         std::size_t k, bool is_base, std::size_t index,
+                         const ProveOptions& options) {
+    obs::TimedSpan span(is_base ? "induction-base" : "induction-step", "sat");
+    InductionCase c;
+    c.is_base = is_base;
+    c.index = index;
+
+    const Window w = is_base ? base_window(hcbs, m, live, index)
+                             : step_window(hcbs, m, live, index, k);
+    // A fresh solver on what is left of the budget; an UNSAT whose trace
+    // does not replay counts as unknown.
+    const auto solve = [&](const Cnf& cnf, const std::vector<Lit>& assumptions) {
+        Solver solver(cnf);
+        if (options.max_conflicts != 0) {
+            if (c.stats.conflicts >= options.max_conflicts) return SolveResult::kUnknown;
+            solver.set_max_conflicts(options.max_conflicts - c.stats.conflicts);
+        }
+        SolveResult res = solver.solve(assumptions);
+        if (res == SolveResult::kUnsat && !solver.verify_unsat()) res = SolveResult::kUnknown;
+        c.stats += solver.stats();
+        return res;
+    };
+
+    std::size_t lemmas = 0;
+    for (const logic::Lit term : w.goal_terms) {
+        const ConeCnf cone = encode_cone(w.aig, term);
+        if (solve(cone.cnf, {cone.root}) != SolveResult::kUnsat) break;
+        ++lemmas;
+    }
+    if (lemmas == w.goal_terms.size()) {
+        c.result = SolveResult::kUnsat;
+    } else {
+        const AigCnf enc = encode_aig(w.aig);
+        std::vector<Lit> assumptions;
+        for (const auto po : w.assume_true) assumptions.push_back(enc.po_lits[po]);
+        for (const auto po : w.assume_false) assumptions.push_back(neg(enc.po_lits[po]));
+        c.result = solve(enc.cnf, assumptions);
+    }
+    c.proof_checked = c.result == SolveResult::kUnsat;
+
+    c.seconds = finish_span(span, [&] {
+        util::Json args = util::Json::object();
+        args.set("index", double(c.index));
+        args.set("result", solve_result_name(c.result));
+        args.set("lemmas", double(lemmas));
+        args.set("decisions", double(c.stats.decisions));
+        args.set("conflicts", double(c.stats.conflicts));
+        return args;
+    });
+    record_metrics(c.stats, c.seconds);
+    return c;
 }
 
 }  // namespace
@@ -276,17 +322,26 @@ ProveReport prove_design(const std::vector<rtl::HcbNetlist>& hcbs,
                                 std::to_string(global) + " outputs)");
     rep.outputs_total = work.size();
 
-    // Miter, CNF and solver template once per HCB; its outputs share them.
-    std::vector<std::unique_ptr<HcbContext>> ctx(hcbs.size());
+    // One miter per HCB with outputs to prove; its outputs share it.  The
+    // builds are jobs of their own, and an output job that gets to an HCB
+    // before its build job waits for (or runs) the build.
+    std::vector<std::size_t> miter_hcbs;
     for (const auto& ob : work)
-        if (!ctx[ob.hcb]) {
-            TRACE_SPAN("hcb-miter", "sat");
-            auto c = std::make_unique<HcbContext>();
-            c->miter = build_hcb_miter(hcbs[ob.hcb], m);
-            c->enc = encode_aig(c->miter.aig);
-            c->solver = Solver(c->enc.cnf);
-            ctx[ob.hcb] = std::move(c);
-        }
+        if (miter_hcbs.empty() || miter_hcbs.back() != ob.hcb) miter_hcbs.push_back(ob.hcb);
+    std::vector<HcbMiter> miters(hcbs.size());
+    std::vector<std::once_flag> built(hcbs.size());
+    const auto miter_of = [&](std::size_t h) -> const HcbMiter& {
+        std::call_once(built[h], [&] {
+            obs::TimedSpan span("hcb-miter", "sat");
+            miters[h] = build_hcb_miter(hcbs[h], m);
+            finish_span(span, [&] {
+                util::Json args = util::Json::object();
+                args.set("hcb", double(h));
+                return args;
+            });
+        });
+        return miters[h];
+    };
 
     // Sequential proof (only meaningful when proving the whole design):
     // base depths 0..min(k, stages)-1, then the step windows.
@@ -319,12 +374,13 @@ ProveReport prove_design(const std::vector<rtl::HcbNetlist>& hcbs,
     }
 
     // One job list on the pool: the induction cases first (the long jobs),
-    // then the outputs in chunks.  Workers claim jobs through an atomic
-    // index and write each result to its own slot, so the report does not
-    // depend on which worker ran what.
+    // then the miter builds, then the outputs in chunks.  Workers claim jobs
+    // through an atomic index and write each result to its own slot, so the
+    // report does not depend on which worker ran what.
     rep.outputs.resize(work.size());
     const std::size_t cases = rep.induction.size();
-    const std::size_t jobs = cases + (work.size() + kOutputsPerJob - 1) / kOutputsPerJob;
+    const std::size_t builds = cases + miter_hcbs.size();
+    const std::size_t jobs = builds + (work.size() + kOutputsPerJob - 1) / kOutputsPerJob;
     std::atomic<std::size_t> next_job{0};
     train::WorkerPool pool(train::WorkerPool::resolve(options.threads));
     pool.run([&](unsigned) {
@@ -333,15 +389,16 @@ ProveReport prove_design(const std::vector<rtl::HcbNetlist>& hcbs,
             if (j >= jobs) return;
             if (j < cases) {
                 auto& c = rep.induction[j];
-                c = c.is_base ? base_case(hcbs, m, live, c.index, options)
-                              : step_case(hcbs, m, live, c.index, k, options);
-                continue;
+                c = prove_case(hcbs, m, live, k, c.is_base, c.index, options);
+            } else if (j < builds) {
+                miter_of(miter_hcbs[j - cases]);
+            } else {
+                const std::size_t first = (j - builds) * kOutputsPerJob;
+                const std::size_t last = std::min(work.size(), first + kOutputsPerJob);
+                for (std::size_t i = first; i < last; ++i)
+                    rep.outputs[i] = prove_output(hcbs[work[i].hcb], miter_of(work[i].hcb), m,
+                                                  work[i], options);
             }
-            const std::size_t first = (j - cases) * kOutputsPerJob;
-            const std::size_t last = std::min(work.size(), first + kOutputsPerJob);
-            for (std::size_t i = first; i < last; ++i)
-                rep.outputs[i] =
-                    prove_output(hcbs[work[i].hcb], *ctx[work[i].hcb], m, work[i], options);
         }
     });
 

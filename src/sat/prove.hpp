@@ -5,11 +5,10 @@
 // Per-output obligations are combinational miter slices (miter.hpp) solved
 // under the ternary rung's cared-cube assumptions - sound only when the
 // output is proved X-insensitive to the restricted bits, so the driver
-// re-runs lint::check_x_insensitive per output and falls back to the
-// unconstrained miter when the proof does not close.  Every UNSAT answer
-// must replay its RUP trace (Solver::verify_unsat) or it is demoted to
-// "unknown"; every SAT answer is re-simulated concretely before it is
-// reported as a counterexample.
+// re-proves that per output and falls back to the unconstrained miter when
+// the proof does not close.  Every UNSAT answer must replay its RUP trace
+// (Solver::verify_unsat) or it is demoted to "unknown"; every SAT answer is
+// re-simulated concretely before it is reported as a counterexample.
 //
 // The sequential argument is k-induction with uniqueness constraints over
 // the chain, stage index as time: base cases unroll 0..k-1 from reset
@@ -22,16 +21,29 @@
 //
 // Every obligation is independent, so prove_design drains one job list on
 // a worker pool: the induction cases first (each builds and solves its own
-// unrolled AIG; they are the long jobs), then the outputs in fixed-size
-// chunks.  Workers claim jobs through an atomic index and each result
-// lands in its own slot, so the report - verdicts, witnesses, solver stats
-// - is the same at any thread count; only the `seconds` fields vary.
-// Outputs of one HCB share its miter, CNF and a solver template that each
-// obligation copies.  The copy is a handful of flat buffers: the clause
-// arena, the watch pool and the per-variable arrays, sized by the whole
-// HCB.  On the reference model (≈909 variables, ≈110 clauses per HCB;
-// 4-core VM, Release build) it costs ≈3 µs per output, the RUP replay ≈4
-// µs and the X re-check ≈5 µs, while the search itself takes under 1 µs.
+// unrolled AIG; they are the long jobs), then one miter build per HCB, then
+// the outputs in fixed-size chunks.  Workers claim jobs through an atomic
+// index and each result lands in its own slot, so the report - verdicts,
+// witnesses, solver stats - is the same at any thread count; only the
+// `seconds` fields vary.
+//
+// What each obligation costs is set by its own cone:
+//  - An output solves a CNF of its one miter PO's cone (encode_cone) and
+//    replays its RUP trace over that CNF.  Strash folds most outputs'
+//    miter XOR to constant 0, so most cones are empty.  The cared-cube
+//    verdict is lint::check_x_insensitive's with no random sweeps: no
+//    don't-care packet bit in the netlist output's cone, or, for cubes of
+//    at most 12 cared PIs, its exhaustive ternary sweep.  A counterexample
+//    lists every HCB PI, those outside the cone at 0.
+//  - A window's CNF holds a whole stage and the uniqueness OR, but strash
+//    folds all but a few of its goal's state XORs to 0.  The goal is their
+//    OR, so each remaining XOR is first refuted on its own over the CNF of
+//    its own cone (encode_cone, a fresh Solver per XOR).  When all of them
+//    are refuted the goal is constant 0 and the case is UNSAT without
+//    encoding the window; only otherwise is the window solved.  On
+//    flow-mnist's data-seed-11 model (13 stages, 15,378 outputs; 4-core
+//    VM, Release) this took a proof's decisions from 2,638,368 to 360 and
+//    its longest case from 169-211 ms to 2-3 ms.
 #pragma once
 
 #include <cstdint>
@@ -47,8 +59,13 @@ namespace matador::sat {
 
 /// Version of the SAT subsystem's semantics (encoder + solver + miter +
 /// induction).  Folded into proof cache keys so prover changes invalidate
-/// cached verdicts; bump on any change that could alter a verdict.
-inline constexpr unsigned kSatSubsystemVersion = 1;
+/// cached verdicts; bump on any change that could alter a report.
+/// 2: outputs are solved over their own miter cone and induction cases
+/// refute each goal term over its own cone first.  Every verdict is the
+/// same as at 1; the solver statistics (and a witness's bits outside the
+/// output's cone) are not, and a cached version-1 report would carry the
+/// old statistics.
+inline constexpr unsigned kSatSubsystemVersion = 2;
 
 /// All outputs (the default for ProveOptions::output).
 inline constexpr std::size_t kAllOutputs = std::size_t(-1);
@@ -62,14 +79,12 @@ struct ProveOptions {
     /// Solve slices under cared-cube assumptions where X-insensitivity is
     /// proved (don't-care packet bits pinned to 0).
     bool use_cared_cube = true;
-    /// Conflict budget per obligation (0 = unlimited).
+    /// Conflict budget per obligation (0 = unlimited); an induction case's
+    /// per-term solves and its window solve share one budget.
     std::uint64_t max_conflicts = 0;
     /// Worker threads draining the prove job list - the induction cases
     /// and the per-output obligations alike (0 = all hardware threads).
     unsigned threads = 1;
-    /// Ternary re-check knobs (match lint::LintOptions defaults).
-    std::size_t ternary_rounds = 2;
-    std::uint64_t seed = 0x11d5;
 };
 
 /// Proof result for one combinational output slice.
@@ -84,7 +99,8 @@ struct OutputProof {
     /// Don't-care cube assumptions were applied (X-insensitivity closed).
     bool cared_cube = false;
     /// SAT only: witness over the miter PIs (packet bits then chain
-    /// inputs, netlist PI order), re-simulated concretely.
+    /// inputs, netlist PI order; PIs outside the output's cone read 0),
+    /// re-simulated concretely.
     std::vector<bool> counterexample;
     /// SAT only: the witness reproduced the mismatch outside the solver.
     bool counterexample_confirmed = false;

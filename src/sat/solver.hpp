@@ -9,12 +9,10 @@
 // Storage follows MiniSat (Een & Sorensson, "An Extensible SAT-solver",
 // SAT 2003).  Every clause's literals sit back to back in one arena, each
 // clause an offset and a size into it, and every literal's watch list is a
-// span of one shared pool, so copying a loaded solver - what the prover
-// does once per output - is a few buffer copies, and propagation
-// allocates only when a list outgrows its span.  Propagation compacts each
-// watch list in place and keeps its watchers in order: the search
-// (decisions, propagations, conflicts) follows from that order, and
-// test_sat pins it.
+// span of one shared pool, so propagation allocates only when a list
+// outgrows its span.  Propagation compacts each watch list in place and
+// keeps its watchers in order: the search (decisions, propagations,
+// conflicts) follows from that order, and test_sat pins it.
 //
 // Every UNSAT answer is self-checkable: the solver records its learned
 // clauses in derivation order, and verify_unsat() replays them as a

@@ -268,6 +268,114 @@ TEST(ModuleLintMutation, InstanceWithNonexistentPort) {
     EXPECT_TRUE(found) << render(findings);
 }
 
+TEST(ModuleLintMutation, EveryFindingClassMatchesRecordedReport) {
+    // One module that trips every module-lint check, several of them in
+    // more than one way.  The findings, their order and their text are
+    // pinned: they depend on the order nets are visited (by name), on the
+    // order assigns fold constants (the first fold of a multi-driven net
+    // wins: kz reads mc as 1) and on where each unknown name is met first.
+    rtl::Module leaf;
+    leaf.name = "leaf";
+    leaf.ports = {{"i", 1, PortDir::kInput, false}, {"o", 1, PortDir::kOutput, false}};
+    leaf.assigns.push_back({rtl::ref("o"), rtl::ref("i")});
+
+    rtl::Module m;
+    m.name = "every";
+    m.ports = {{"clk", 1, PortDir::kInput, false},   {"a", 4, PortDir::kInput, false},
+               {"b", 2, PortDir::kInput, false},     {"s", 1, PortDir::kInput, false},
+               {"unused_in", 1, PortDir::kInput, false}, {"y", 4, PortDir::kOutput, false},
+               {"z", 1, PortDir::kOutput, false},    {"q", 1, PortDir::kOutput, true},
+               {"o2", 1, PortDir::kOutput, false}};
+    for (const char* n : {"w1", "w2", "sl", "und", "md", "ca", "dr", "du", "d1", "d2", "mc",
+                          "kz", "oob", "w3", "w4", "sink"})
+        m.nets.push_back({n, 1, false, false, ""});
+    m.nets.push_back({"r", 1, true, false, ""});
+    m.nets.push_back({"wide", 4, false, false, ""});
+    m.nets.push_back({"bw", 2, false, false, ""});
+    m.nets.push_back({"tb", 2, false, false, ""});
+    m.nets.push_back({"b2", 2, false, false, ""});
+    m.nets.push_back({"a", 3, false, false, ""});  // the port declaration wins
+
+    const auto assign = [&](rtl::ExprP lhs, rtl::ExprP rhs) {
+        m.assigns.push_back({std::move(lhs), std::move(rhs)});
+    };
+    using rtl::ref;
+    assign(ref("w1"), rtl::vand(ref("w2"), rtl::idx("a", 0)));  // w1 -> w2 -> w1
+    assign(ref("w2"), rtl::vor(ref("w1"), ref("s")));
+    assign(ref("sl"), rtl::vxor(ref("sl"), ref("s")));  // self-loop
+    assign(ref("z"), rtl::vand(ref("und"), ref("s")));  // und: read, never driven
+    assign(ref("md"), rtl::idx("a", 0));                // two continuous drivers
+    assign(ref("md"), rtl::idx("a", 1));
+    assign(ref("ca"), ref("s"));                        // continuous + always
+    assign(ref("dr"), ref("s"));                        // driven, never read
+    assign(ref("d1"), rtl::idx("a", 2));                // dead: read only by d2
+    assign(ref("d2"), ref("d1"));
+    assign(ref("kz"), rtl::vnot(ref("mc")));            // folds from mc's first driver
+    assign(ref("mc"), rtl::vnot(rtl::bconst(1, 0)));    // conflicting constants
+    assign(ref("mc"), rtl::vnot(rtl::bconst(1, 1)));
+    assign(ref("wide"), ref("b"));                      // 4 <- 2
+    assign(ref("bw"), rtl::vand(ref("a"), ref("b")));   // 4 & 2
+    assign(ref("tb"), rtl::vternary(ref("s"), ref("a"), ref("b")));
+    assign(ref("oob"), rtl::vor(rtl::idx("a", 7), rtl::slice("a", 9, 8)));
+    assign(rtl::idx("b2", 3), ref("s"));                // lvalue out of range
+    assign(rtl::slice("b2", 1, 0), rtl::vconcat({ref("s"), ref("s")}));
+    assign(ref("phantom"), ref("s"));                   // undeclared lvalue
+    assign(ref("w3"), ref("w4"));                       // cycle through leaf u0
+    assign(ref("sink"), rtl::vxor(ref("kz"), ref("ghost")));
+    assign(ref("y"), rtl::vconcat({ref("ghost"), ref("oob"), ref("md"), ref("sl"),
+                                  ref("w1"), ref("ca"), ref("wide"), ref("bw"), ref("tb"),
+                                  ref("b2"), ref("r"), ref("sink"), ref("w3")}));
+
+    rtl::AlwaysFF ff;
+    ff.body.push_back(rtl::nb(ref("r"), ref("w1")));
+    ff.body.push_back(rtl::nb(ref("ca"), ref("s")));
+    ff.body.push_back(rtl::nb(ref("q"), rtl::vand(ref("r"), ref("ghost_reg"))));
+    m.always_blocks.push_back(std::move(ff));
+
+    m.instances.push_back({"leaf", "u0", {{"i", ref("w3")}, {"o", ref("w4")}}});
+    m.instances.push_back(
+        {"leaf", "u1", {{"i", ref("a")}, {"o", ref("o2")}, {"bogus", ref("s")}}});
+    m.instances.push_back({"mystery", "u2", {{"p", ref("ghost_pin")}}});
+
+    std::vector<Finding> findings;
+    lint::lint_module(m, {&m, &leaf}, findings);
+    const std::string want = R"(warning [width-mismatch] module every / wide: assign width mismatch: lhs 4 bits, rhs 2 bits
+warning [width-mismatch] module every / : bitwise operands differ in width: 4 vs 2
+warning [width-mismatch] module every / bw: assign width mismatch: lhs 2 bits, rhs 4 bits
+warning [width-mismatch] module every / : ternary branches differ in width: 4 vs 2
+warning [width-mismatch] module every / tb: assign width mismatch: lhs 2 bits, rhs 4 bits
+error [bit-out-of-range] module every / a: select [7] outside [3:0]
+error [bit-out-of-range] module every / a: select [9:8] outside [3:0]
+warning [width-mismatch] module every / : bitwise operands differ in width: 1 vs 2
+warning [width-mismatch] module every / oob: assign width mismatch: lhs 1 bits, rhs 2 bits
+error [bit-out-of-range] module every / b2: select [3] outside [1:0]
+error [bit-out-of-range] module every / b2: select [3] outside [1:0]
+error [unknown-net] module every / phantom: referenced but never declared
+error [unknown-net] module every / ghost: referenced but never declared
+error [unknown-net] module every / ghost_reg: referenced but never declared
+warning [width-mismatch] module every / u1.i: port is 1 bits, connection is 4
+error [unknown-module] module every / u1: connection to nonexistent port 'bogus' of module 'leaf'
+info [unknown-module] module every / u2: instance of 'mystery' outside the lint scope; connections unchecked
+error [unknown-net] module every / ghost_pin: referenced but never declared
+error [net-multidriven] module every / ca: driven by both a continuous assign and an always block
+warning [net-unused] module every / d2: driven but never read
+warning [net-unused] module every / dr: driven but never read
+info [net-unused] module every / du: declared but never used
+error [net-multidriven] module every / mc: bit 0 has multiple continuous drivers
+error [net-multidriven] module every / md: bit 0 has multiple continuous drivers
+error [net-undriven] module every / und: read but never driven
+info [net-unused] module every / unused_in: input port never read
+error [comb-cycle] module every / w1: combinational cycle through w1 -> w2
+error [comb-cycle] module every / sl: combinational cycle through sl
+error [comb-cycle] module every / w3: combinational cycle through w3 -> w4
+warning [dead-logic] module every / d1: never reaches an output, register, or instance
+warning [const-logic] module every / kz: always evaluates to 1'b0
+warning [const-logic] module every / mc: always evaluates to 1'b1
+warning [const-logic] module every / mc: always evaluates to 1'b0
+)";
+    EXPECT_EQ(render(findings), want);
+}
+
 // ---------------------------------------------------------------------------
 // AIG and LUT mutations
 // ---------------------------------------------------------------------------

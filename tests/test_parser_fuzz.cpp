@@ -1,6 +1,7 @@
 // Seeded mutation fuzzing of the parsers every serve request line goes
-// through (util::Json::parse and BitVector::from_string) and of the AIGER
-// reader the artifact store's generate tier reads from disk.  g++ ships no
+// through (util::Json::parse and BitVector::from_string), of the AIGER
+// reader the artifact store's generate tier reads from disk, and of the
+// structural Verilog parser `matador lint <file.v>` and ladder level 3 read.  g++ ships no
 // libFuzzer, so this is an in-tree mutation loop with a fixed iteration
 // budget; the ASan/UBSan build runs it as part of the full suite.  Every
 // input is derived from a fixed seed, so a failure reproduces exactly.
@@ -14,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "lint/aig_lint.hpp"
 #include "logic/aig.hpp"
 #include "logic/aiger.hpp"
 #include "model/architecture.hpp"
@@ -21,6 +23,8 @@
 #include "obs/metrics.hpp"
 #include "serve/metrics.hpp"
 #include "rtl/generators.hpp"
+#include "rtl/verilog_parser.hpp"
+#include "rtl/verilog_writer.hpp"
 #include "serve/server.hpp"
 #include "util/bitvector.hpp"
 #include "util/json.hpp"
@@ -245,6 +249,102 @@ TEST(ParserFuzz, AigerReaderRejectsOrRoundTrips) {
     // test something.
     EXPECT_GT(accepted, kIterations / 100);
     EXPECT_LT(accepted, kIterations);
+}
+
+/// Verilog to mutate: one emitted HCB comb module of a small random model,
+/// and a hand-written module with every construct the parser reads.
+std::vector<std::string> verilog_corpus() {
+    model::TrainedModel m(12, 2, 3);
+    util::Xoshiro256ss rng(13);
+    for (std::size_t k = 0; k < 2; ++k)
+        for (std::size_t j = 0; j < 3; ++j)
+            for (std::size_t f = 0; f < 12; ++f) {
+                const std::uint64_t r = rng() % 4;
+                if (r == 0) m.clause(k, j).include_pos.set(f);
+                if (r == 1) m.clause(k, j).include_neg.set(f);
+            }
+    model::ArchOptions opts;
+    opts.bus_width = 6;
+    const auto design = rtl::generate_rtl(m, model::derive_architecture(m, opts), true);
+    return {rtl::emit_module(design.hcb_comb.at(1)), R"(// every construct
+module every (
+  input wire [3:0] a,
+  input b,
+  output wire [2:0] y,
+  output z
+);
+  (* keep *) wire t;
+  wire [1:0] u;
+  assign t = ~(a[0] & b) | (a[1] ^ ~a[2]);
+  assign u[0] = t & 1'b1;
+  assign u[1] = (a[3] | 1'b0) ^ t;
+  assign y[0] = u[0];
+  assign y[1] = ~u[1] & (t | ~~b);
+  assign y[2] = 1'b0;
+  assign z = ((a[0])) ^ (u[1] & ~(b | 1'b1));
+endmodule
+)"};
+}
+
+/// Parse `text` and check what the parser promises of anything it accepts.
+/// Returns false when the text was rejected with std::runtime_error.
+bool parses_soundly(const std::string& text, bool strash) {
+    rtl::ParsedModule parsed;
+    try {
+        parsed = rtl::parse_structural_verilog(text, strash);
+    } catch (const std::runtime_error&) {
+        return false;  // rejected cleanly; any other exception fails
+    }
+    EXPECT_EQ(parsed.aig.num_pis(), parsed.input_bits.size());
+    EXPECT_EQ(parsed.aig.num_pos(), parsed.output_bits.size());
+    std::vector<lint::Finding> findings;
+    EXPECT_NO_THROW(lint::lint_aig(parsed.aig, "fuzz", findings));
+    return true;
+}
+
+TEST(ParserFuzz, VerilogParserRejectsOrParses) {
+    const auto seeds = verilog_corpus();
+    for (const auto& s : seeds) ASSERT_TRUE(parses_soundly(s, true)) << "bad seed: " << s;
+
+    Mutator mutator(20261020);
+    std::size_t accepted = 0;
+    const std::size_t kIterations = 20000;
+    for (std::size_t i = 0; i < kIterations; ++i) {
+        const std::string input = mutator.mutate(seeds[mutator.below(seeds.size())]);
+        const bool ok = parses_soundly(input, i % 2 == 0);
+        ASSERT_FALSE(::testing::Test::HasFailure()) << "iteration " << i << " input:\n" << input;
+        accepted += ok;
+    }
+    // Comments, whitespace and commutable operands leave many mutants
+    // parseable; the strict declarations refuse the rest.
+    EXPECT_GT(accepted, kIterations / 100);
+    EXPECT_LT(accepted, kIterations);
+}
+
+TEST(ParserFuzz, VerilogParserRefusesOversizedInput) {
+    // Numbers beyond int, widths whose msb + 1 overflows, and nesting deep
+    // enough to exhaust the stack: each must be a clean std::runtime_error
+    // (std::stoi threw std::out_of_range for the first, and the width
+    // overflowed for the second).
+    const std::string tail = ", output y);\n  assign y = a[0];\nendmodule\n";
+    for (const char* width : {"99999999999", "2147483647", "4194304"})
+        EXPECT_THROW(rtl::parse_structural_verilog(
+                         std::string("module m (input wire [") + width + ":0] a" + tail),
+                     std::runtime_error)
+            << width;
+    EXPECT_THROW(rtl::parse_structural_verilog(
+                     "module m (input wire [3:0] a, output y);\n"
+                     "  assign y = a[99999999999];\nendmodule\n"),
+                 std::runtime_error);
+    const std::string deep = "module m (input a, output y);\n  assign y = " +
+                             std::string(100000, '(') + "a" + std::string(100000, ')') +
+                             ";\nendmodule\n";
+    EXPECT_THROW(rtl::parse_structural_verilog(deep), std::runtime_error);
+    // A long chain of inversions is legal Verilog and must parse.
+    const auto inverted = rtl::parse_structural_verilog(
+        "module m (input a, output y);\n  assign y = " + std::string(100001, '~') +
+        "a;\nendmodule\n");
+    EXPECT_EQ(inverted.aig.po(0), logic::lit_not(inverted.aig.pi(0)));
 }
 
 TEST(ParserFuzz, FromStringMatchesPerCharacterReference) {

@@ -1,13 +1,15 @@
 // End-to-end tests of `matador prove`, the formal-verification gate: the
 // built CLI (its path comes from CMake as MATADOR_CLI_PATH) is spawned as
 // a child process on a small trained model.  The report must not depend
-// on the worker count, an injected netlist fault must be refuted with a
-// confirmed counterexample, and exported miters must round-trip through
-// the AIGER importer byte for byte.
+// on the worker count or on tracing, a trace must name every induction
+// case, an injected netlist fault must be refuted with a confirmed
+// counterexample, and exported miters must round-trip through the AIGER
+// importer byte for byte.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -76,6 +78,46 @@ TEST_F(ProveCli, JsonReportIsIdenticalAtOneAndFourThreads) {
     EXPECT_TRUE(t1.at("equivalent").as_bool());
     EXPECT_EQ(t1.at("induction").as_array().size(), 2u);
     EXPECT_EQ(drop_seconds(t1).dump(), drop_seconds(t4).dump());
+}
+
+TEST_F(ProveCli, TracedProofMatchesUntracedAndNamesEveryCase) {
+    ASSERT_EQ(prove({"--json"}, path("plain.json")), 0);
+    ASSERT_EQ(prove({"--json", "--trace-out", path("prove.trace.json")}, path("traced.json")), 0);
+    const Json plain = Json::parse(read_file(path("plain.json")));
+    const Json traced = Json::parse(read_file(path("traced.json")));
+    EXPECT_EQ(drop_seconds(plain).dump(), drop_seconds(traced).dump());
+
+    // One induction span per report case, in any order, each naming its
+    // case and verdict and carrying the lemma and search counts.
+    std::vector<std::string> want, got;
+    for (const Json& c : traced.at("induction").as_array())
+        want.push_back(std::string(c.at("is_base").as_bool() ? "induction-base " : "induction-step ") +
+                       std::to_string(c.at("index").as_count()) + " " +
+                       c.at("result").as_string());
+    const Json trace = Json::parse(read_file(path("prove.trace.json")));
+    std::size_t miter_spans = 0;
+    for (const Json& ev : trace.at("traceEvents").as_array()) {
+        const std::string name = ev.at("name").as_string();
+        if (name == "hcb-miter") {
+            EXPECT_TRUE(ev.at("args").contains("hcb"));
+            ++miter_spans;
+        }
+        if (name != "induction-base" && name != "induction-step") continue;
+        const Json& args = ev.at("args");
+        for (const char* key : {"lemmas", "decisions", "conflicts"})
+            EXPECT_TRUE(args.contains(key)) << name << " lacks " << key;
+        got.push_back(name + " " + std::to_string(args.at("index").as_count()) + " " +
+                      args.at("result").as_string());
+    }
+    ASSERT_FALSE(want.empty());
+    std::sort(want.begin(), want.end());
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, want);
+    // One miter build per HCB that has outputs.
+    std::vector<std::size_t> hcbs;
+    for (const Json& o : traced.at("outputs").as_array()) hcbs.push_back(o.at("hcb").as_count());
+    hcbs.erase(std::unique(hcbs.begin(), hcbs.end()), hcbs.end());
+    EXPECT_EQ(miter_spans, hcbs.size());
 }
 
 TEST_F(ProveCli, InjectedFaultIsRefutedWithConfirmedCounterexample) {

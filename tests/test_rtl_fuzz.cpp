@@ -54,8 +54,9 @@ TEST_P(HcbCosimFuzz, RandomModelsRoundTrip) {
     const auto m = random_model(features, classes, cpc, density, seed * 31 + 7);
     const auto hcbs = rtl::build_hcbs(m, model::PacketPlan(features, bus));
     for (const auto& hcb : hcbs) {
+        const auto text = rtl::emit_module(rtl::generate_hcb_comb_module(hcb, "hcb_comb"));
         std::string err;
-        EXPECT_TRUE(rtl::cosim_hcb_module(hcb, 8, seed ^ 0xfeed, &err))
+        EXPECT_TRUE(rtl::check_hcb_module_text(hcb, text, 8, seed ^ 0xfeed, &err))
             << "seed " << seed << " features " << features << " bus " << bus
             << ": " << err;
     }
@@ -160,6 +161,11 @@ TEST(CorruptionDetection, OperatorFlipCaught) {
         const auto parsed = rtl::parse_structural_verilog(text);
         EXPECT_FALSE(logic::random_equivalent(parsed.aig, hcb.aig, 16, 5))
             << "corrupted module escaped co-simulation";
+        // Level 3's own path: the bytes differ, so it co-simulates and fails.
+        std::string err;
+        EXPECT_FALSE(rtl::check_hcb_module_text(hcb, text, 16, 5, &err))
+            << "corrupted module passed level 3";
+        EXPECT_NE(err.find("mismatch"), std::string::npos) << err;
         checked_one = true;
         break;
     }

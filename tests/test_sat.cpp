@@ -4,8 +4,9 @@
 // with a replayable RUP trace), random 3-SAT near the phase transition
 // (every SAT model checked, every UNSAT trace verified, the search's stats
 // pinned), a RUP replay that never certifies a satisfiable formula, and
-// the empty / unit / assumption edge cases; (2) the Tseitin encoder against 64-way AIG
-// simulation on random networks; (3) miters - a clean design must prove
+// the empty / unit / assumption edge cases; (2) the Tseitin encoders,
+// whole-AIG and single-cone, against AIG simulation on random networks;
+// (3) miters - a clean design must prove
 // EQUIVALENT on every output, a netlist with one seeded PO inversion must
 // be refuted with a concretely confirmed counterexample; (4) the prove
 // report's JSON round-trip (the proof artifact's disk representation).
@@ -20,6 +21,7 @@
 #include <utility>
 #include <vector>
 
+#include "lint/ternary.hpp"
 #include "logic/aig_simulate.hpp"
 #include "model/architecture.hpp"
 #include "model/trained_model.hpp"
@@ -339,6 +341,33 @@ TEST(SatCnf, EncoderMatchesSimulation) {
     }
 }
 
+TEST(SatCnf, ConeEncodingMatchesSimulation) {
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        const auto aig = random_aig(8, 24, 4, seed, /*strash=*/seed % 2 == 0);
+        util::Xoshiro256ss rng(seed * 31);
+        for (std::size_t o = 0; o < aig.num_pos(); ++o) {
+            const auto cone = sat::encode_cone(aig, aig.po(o));
+            const auto support = [&] {
+                std::vector<std::size_t> pis;
+                for (const auto& [pi, lit] : cone.pis) pis.push_back(pi);
+                return pis;
+            }();
+            EXPECT_TRUE(std::is_sorted(support.begin(), support.end()));
+            for (int round = 0; round < 16; ++round) {
+                std::vector<bool> x(aig.num_pis());
+                for (std::size_t i = 0; i < x.size(); ++i) x[i] = rng() & 1;
+                std::vector<Lit> assume;
+                for (const auto& [pi, lit] : cone.pis)
+                    assume.push_back(x[pi] ? lit : sat::neg(lit));
+                Solver s(cone.cnf);
+                ASSERT_EQ(s.solve(assume), SolveResult::kSat);
+                EXPECT_EQ(s.model_lit(cone.root), logic::simulate_single(aig, x)[o])
+                    << "seed=" << seed << " po=" << o << " round=" << round;
+            }
+        }
+    }
+}
+
 TEST(SatCnf, ConstantOutputsFoldToUnits) {
     // A PO tied to constant 1 and one tied to 0: no gate clauses needed,
     // and the encoding pins them through the constant var's unit clause.
@@ -386,32 +415,53 @@ rtl::RtlDesign generate(const model::TrainedModel& m, bool strash,
     return rtl::generate_rtl(m, model::derive_architecture(m, opts), strash);
 }
 
-TEST(SatProve, TemplateCopySolvesLikeAFreshSolver) {
-    // The prover loads each HCB's miter CNF into one solver and copies it
-    // per output.  The copy must search exactly as a solver built from the
-    // CNF would, on UNSAT (clean) and SAT (inverted PO) outputs alike.
-    const auto m = random_model(16, 2, 4, 0.25, 42);
-    auto design = generate(m, /*strash=*/true, /*bus_width=*/8);
-    auto& last = design.hcbs.back().aig;
-    ASSERT_GT(last.num_pos(), 0u);
-    last.set_po(0, logic::lit_not(last.po(0)));
+TEST(SatProve, ConeObligationsMatchWholeMiterSolves) {
+    // Each output solves only its miter PO's cone.  The verdict and the
+    // cared-cube decision must be the ones a solve over the whole HCB miter
+    // gets under lint::check_x_insensitive's verdict, on UNSAT (clean) and
+    // SAT (inverted PO) outputs alike, with and without strash.
     std::size_t sat_seen = 0, unsat_seen = 0;
-    for (std::size_t h = 0; h < design.hcbs.size(); ++h) {
-        const auto miter = sat::build_hcb_miter(design.hcbs[h], m);
-        const auto enc = sat::encode_aig(miter.aig);
-        const Solver tmpl(enc.cnf);
-        for (std::size_t o = 0; o < enc.po_lits.size(); ++o) {
-            Solver copy = tmpl;
-            Solver fresh(enc.cnf);
-            const auto r = copy.solve({enc.po_lits[o]});
-            EXPECT_EQ(r, fresh.solve({enc.po_lits[o]})) << "hcb " << h << " po " << o;
-            EXPECT_EQ(stats_tuple(copy.stats()), stats_tuple(fresh.stats()))
-                << "hcb " << h << " po " << o;
-            if (r == SolveResult::kUnsat) {
-                ++unsat_seen;
-                EXPECT_TRUE(copy.verify_unsat()) << "hcb " << h << " po " << o;
-            } else {
+    for (const bool strash : {true, false}) {
+        const auto m = random_model(16, 2, 4, 0.25, 42);
+        auto design = generate(m, strash, /*bus_width=*/8);
+        auto& last = design.hcbs.back().aig;
+        ASSERT_GT(last.num_pos(), 0u);
+        last.set_po(0, logic::lit_not(last.po(0)));
+        sat::ProveOptions opt;
+        opt.induction_k = 0;
+        const auto rep = sat::prove_design(design.hcbs, m, opt);
+        const std::size_t cpc = m.clauses_per_class();
+        for (const auto& p : rep.outputs) {
+            const auto& hcb = design.hcbs[p.hcb];
+            const auto& clause = m.clause(p.clause_id / cpc, p.clause_id % cpc);
+            std::vector<bool> care(hcb.aig.num_pis(), true);
+            bool any_dont_care = false;
+            for (std::size_t f = hcb.spec.lo; f < hcb.spec.hi; ++f) {
+                care[f - hcb.spec.lo] = clause.include_pos.get(f) || clause.include_neg.get(f);
+                any_dont_care = any_dont_care || !care[f - hcb.spec.lo];
+            }
+            const bool cared =
+                any_dont_care &&
+                lint::check_x_insensitive(hcb.aig, p.local_output, care, 2, 0x11d5).proved();
+            const auto miter = sat::build_hcb_miter(hcb, m);
+            const auto enc = sat::encode_aig(miter.aig);
+            std::vector<Lit> assumptions{enc.po_lits[p.local_output]};
+            if (cared)
+                for (std::size_t b = 0; b + hcb.spec.lo < hcb.spec.hi; ++b)
+                    if (!care[b]) assumptions.push_back(sat::neg(enc.pi_lits[b]));
+            Solver whole(enc.cnf);
+            const auto want = whole.solve(assumptions);
+            const std::string where = "strash=" + std::to_string(strash) + " output " +
+                                      std::to_string(p.output);
+            EXPECT_EQ(p.cared_cube, cared) << where;
+            EXPECT_EQ(p.result, want) << where;
+            if (want == SolveResult::kSat) {
                 ++sat_seen;
+                EXPECT_EQ(p.counterexample.size(), hcb.aig.num_pis()) << where;
+                EXPECT_TRUE(p.counterexample_confirmed) << where;
+            } else {
+                ++unsat_seen;
+                EXPECT_TRUE(p.proof_checked) << where;
             }
         }
     }
@@ -448,6 +498,27 @@ TEST(SatProve, MultiStageChainWithDeeperInduction) {
     for (const auto& c : rep.induction) EXPECT_TRUE(c.proved());
 }
 
+TEST(SatProve, InductionDecidesInsideTheConflictsCone) {
+    // A 4-stage chain over 256 clauses.  Each window's CNF holds a whole
+    // stage and the uniqueness OR, while its goal's few surviving XORs
+    // have small cones.  Refuting each over its own cone keeps decisions
+    // near the conflict count; a search over the whole window re-decides
+    // the stage after every conflict (32 decisions per conflict here, and
+    // ~1,200 on flow-mnist's model).
+    const auto m = random_model(64, 4, 64, 0.05, 11);
+    const auto design = generate(m, /*strash=*/true, /*bus_width=*/16);
+    ASSERT_GE(design.hcbs.size(), 4u);
+    sat::ProveOptions opt;
+    opt.induction_k = 1;
+    const auto rep = sat::prove_design(design.hcbs, m, opt);
+    ASSERT_TRUE(rep.equivalent);
+    sat::SolverStats induction;
+    for (const auto& c : rep.induction) induction += c.stats;
+    ASSERT_GT(induction.conflicts, 0u);
+    EXPECT_LE(induction.decisions, 4 * induction.conflicts)
+        << induction.decisions << " decisions for " << induction.conflicts << " conflicts";
+}
+
 TEST(SatProve, InjectedNetlistBugIsRefutedWithConfirmedWitness) {
     const auto m = random_model(12, 2, 4, 0.3, 99);
     auto design = generate(m, /*strash=*/true, /*bus_width=*/6);
@@ -470,6 +541,36 @@ TEST(SatProve, InjectedNetlistBugIsRefutedWithConfirmedWitness) {
             witnessed = true;
         }
     EXPECT_TRUE(witnessed);
+    // The chain argument fails too: the inverted output's state XOR is
+    // satisfiable in its own cone, so that case is decided over its whole
+    // window, and the answer there is a witness, not a budget stop.
+    EXPECT_FALSE(rep.induction_ok);
+    for (const auto& c : rep.induction)
+        if (!c.proved()) EXPECT_EQ(c.result, SolveResult::kSat) << "case " << c.index;
+}
+
+TEST(SatProve, ConstantDisagreementFailsItsCase) {
+    // Clause 0 includes feature 0 both ways, so both sides fold it to
+    // constant 0.  A netlist that drives that output with constant 1
+    // disagrees for every input: base case 0's goal is a constant-1 XOR,
+    // which the term-by-term refutation must not skip as a constant.
+    model::TrainedModel m(8, 1, 2);
+    m.clause(0, 0).include_pos.set(0);
+    m.clause(0, 0).include_neg.set(0);
+    m.clause(0, 1).include_pos.set(1);
+    auto design = generate(m, /*strash=*/true, /*bus_width=*/4);
+    auto& first = design.hcbs.front();
+    ASSERT_EQ(first.spec.active_clauses.front(), 0u);
+    ASSERT_EQ(first.aig.po(0), logic::kConst0);
+    first.aig.set_po(0, logic::kConst1);
+
+    const auto rep = sat::prove_design(design.hcbs, m, {});
+    EXPECT_FALSE(rep.equivalent);
+    EXPECT_EQ(rep.outputs_failed, 1u);
+    ASSERT_FALSE(rep.induction.empty());
+    EXPECT_TRUE(rep.induction.front().is_base);
+    EXPECT_EQ(rep.induction.front().result, SolveResult::kSat);
+    EXPECT_FALSE(rep.induction_ok);
 }
 
 TEST(SatProve, SingleOutputSelection) {

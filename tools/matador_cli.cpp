@@ -228,7 +228,7 @@ const std::vector<CommandSpec>& command_specs() {
         {"verify", {"model", "config"}},
         {"prove",
          {"model", "output", "induction", "miter-out", "inject-fault",
-          "metrics-out", "json", "config"}},
+          "metrics-out", "json", "config", "trace-out"}},
         {"aig", {"model", "out", "hcb", "config"}},
         {"lint", {"model", "fail-on", "json", "config"}},
         {"simulate", {"model", "vcd", "trace", "datapoints", "config"}},
