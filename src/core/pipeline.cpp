@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdio>
 #include <exception>
-#include <future>
 #include <sstream>
 #include <stdexcept>
 
@@ -15,6 +14,7 @@
 #include "sim/accelerator_sim.hpp"
 #include "tm/tsetlin_machine.hpp"
 #include "train/parallel_trainer.hpp"
+#include "train/worker_pool.hpp"
 #include "util/rng.hpp"
 
 namespace matador::core {
@@ -372,47 +372,12 @@ public:
     }
 };
 
-/// The SAT rung as its thread leaves it: the report, the store tier that
-/// served it, and what the store and the prover raised, held until the
-/// verify stage reports the rung.
-struct ProofRun {
-    ProofArtifact artifact;
-    ArtifactTier tier = ArtifactTier::kNone;
-    std::vector<std::string> warnings;
-    std::exception_ptr error;
-};
-
-/// Levels 3-4 of the ladder: SAT-proved scalar-vs-netlist equivalence per
-/// output slice plus k-induction over the chain.  Cached under the proof
-/// key (backend hash + SAT subsystem version + induction depth) and fanned
-/// per output over the worker pool.  Reads only the netlists, the model,
-/// the config and the store, so it can run beside the other rungs.
-ProofRun run_proof(const FlowConfig& cfg, const rtl::RtlDesign& design,
-                   const model::TrainedModel& m, ArtifactStore* store) {
-    ProofRun run;
-    try {
-        const auto prove_fn = [&]() -> ProofArtifact {
-            ProofArtifact a;
-            sat::ProveOptions popt;
-            popt.induction_k = cfg.induction_k;
-            popt.threads = unsigned(cfg.train_threads);
-            a.report = sat::prove_design(design.hcbs, m, popt);
-            return a;
-        };
-        if (store) {
-            const auto key = proof_cache_key(cfg, m.content_hash());
-            run.artifact = store->get_or_compute_proof(
-                key, prove_fn, &run.tier,
-                [&](const std::string& msg) { run.warnings.push_back(msg); });
-        } else {
-            run.artifact = prove_fn();
-        }
-    } catch (...) {
-        run.error = std::current_exception();
-    }
-    return run;
-}
-
+/// The verify ladder, one rung after another: lint (level 0), the
+/// equivalence ladder (levels 1-3), the cycle-accurate system sim with its
+/// golden predictions, and - opt-in - the SAT rung (levels 3-4).  Every
+/// rung that fans out (lint, ladder level 3, prove) runs its jobs on one
+/// worker pool of `train_threads` workers that the stage builds once, so at
+/// most that many verify threads exist, and allocate, at any time.
 class VerifyStage final : public Stage {
 public:
     StageKind kind() const override { return StageKind::kVerify; }
@@ -423,27 +388,17 @@ public:
             return StageStatus::kSkipped;
         }
         const auto& m = *ctx.trained;
-
-        // The SAT rung (opt-in) is the longest and depends on no other
-        // rung, so it starts first on its own thread; lint, the ladder and
-        // the system sim run here meanwhile, all of them only reading the
-        // design and the model.  The stage takes the proof where it
-        // reports it, after those rungs.  Destroying the future waits for
-        // the thread, so every return and exception path joins it.
-        std::future<ProofRun> proof_run;
-        if (ctx.cfg.verify_sat)
-            proof_run = std::async(std::launch::async, run_proof, std::cref(ctx.cfg),
-                                   std::cref(*ctx.design), std::cref(m), ctx.store.get());
+        train::WorkerPool pool(
+            train::WorkerPool::resolve(unsigned(ctx.cfg.train_threads)));
 
         // Level 0 of the ladder: static analysis over the generated
         // netlists.  Pure structure - no vectors - so a lint error fails
-        // the stage before the ladder and the system sim run; a proof
-        // already under way is waited for and discarded.  Cached under the
-        // same backend key as the netlists it analyzes.
+        // the stage before any other rung starts.  Cached under the same
+        // backend key as the netlists it analyzes.
         const auto lint_fn = [&]() -> LintArtifact {
             TRACE_SPAN("lint", "verify");
             LintArtifact a;
-            a.report = lint::lint_design(*ctx.design, &m);
+            a.report = lint::lint_design(*ctx.design, &m, {}, &pool);
             return a;
         };
         ArtifactTier lint_tier = ArtifactTier::kNone;
@@ -501,7 +456,7 @@ public:
         if (!ctx.cfg.skip_rtl_verification) {
             TRACE_SPAN("ladder", "verify");
             rep = rtl::verify_design(*ctx.design, m, ctx.cfg.verify_vectors,
-                                     /*seed=*/1234);
+                                     /*seed=*/1234, &pool);
         } else {
             rep.expressions_match_model = true;
             rep.hcb_aigs_match_expressions = true;
@@ -545,18 +500,35 @@ public:
         ctx.measured_latency_cycles = sr.first_latency_cycles;
         ctx.measured_ii = sr.mean_initiation_interval;
 
-        // Levels 3-4: take the proof started above.
+        // Levels 3-4 (opt-in): SAT-proved scalar-vs-netlist equivalence per
+        // output slice plus k-induction over the chain, on the same pool.
+        // Cached under the proof key (backend hash + SAT subsystem version +
+        // induction depth).
         bool proof_ok = true;
-        if (proof_run.valid()) {
-            ProofRun proof = proof_run.get();
-            for (auto& w : proof.warnings) ctx.warn(kind(), std::move(w));
-            if (proof.error) std::rethrow_exception(proof.error);
-            ctx.proof = std::move(proof.artifact.report);
-            if (ctx.store) count_cache_lookup(kind(), proof.tier);
-            if (proof.tier != ArtifactTier::kNone)
+        if (ctx.cfg.verify_sat) {
+            const auto prove_fn = [&]() -> ProofArtifact {
+                ProofArtifact a;
+                sat::ProveOptions popt;
+                popt.induction_k = ctx.cfg.induction_k;
+                a.report = sat::prove_design(ctx.design->hcbs, m, popt, pool);
+                return a;
+            };
+            ArtifactTier proof_tier = ArtifactTier::kNone;
+            ProofArtifact proof;
+            if (ctx.store) {
+                const auto key = proof_cache_key(ctx.cfg, m.content_hash());
+                proof = ctx.store->get_or_compute_proof(
+                    key, prove_fn, &proof_tier,
+                    [&](const std::string& msg) { ctx.warn(kind(), msg); });
+            } else {
+                proof = prove_fn();
+            }
+            ctx.proof = std::move(proof.report);
+            if (ctx.store) count_cache_lookup(kind(), proof_tier);
+            if (proof_tier != ArtifactTier::kNone)
                 ctx.note(kind(),
                          std::string("proof report served from artifact store (") +
-                             tier_name(proof.tier) + " tier)");
+                             tier_name(proof_tier) + " tier)");
             ctx.record(kind()).detail +=
                 "; prove: " + std::to_string(ctx.proof->outputs_proved) + "/" +
                 std::to_string(ctx.proof->outputs_total) + " unsat";

@@ -1,10 +1,14 @@
 #include "lint/lint.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <stdexcept>
+#include <utility>
 
 #include "lint/ternary.hpp"
 #include "logic/lut_mapper.hpp"
+#include "obs/trace.hpp"
+#include "train/worker_pool.hpp"
 
 namespace matador::lint {
 
@@ -99,13 +103,59 @@ void lint_hcb_x_sensitivity(const rtl::HcbNetlist& hcb, std::size_t index,
     }
 }
 
+/// Everything lint checks on one HCB: its AIG, its LUT mapping and, with
+/// a model, the X pass over its outputs.
+void lint_hcb(const rtl::HcbNetlist& hcb, std::size_t index,
+              const model::TrainedModel* m, const LintOptions& options,
+              LintReport& report) {
+    lint_aig(hcb.aig, "hcb " + std::to_string(index) + " aig", report.findings,
+             &report.stats.aig);
+    if (options.map_luts && hcb.aig.strash_enabled()) {
+        const auto mapped = logic::map_to_luts(hcb.aig);
+        lint_lut_network(mapped.network, "hcb " + std::to_string(index) + " luts",
+                         report.findings, &report.stats.luts);
+    }
+    if (options.check_x_sensitivity && m)
+        lint_hcb_x_sensitivity(hcb, index, *m, options, report);
+}
+
+/// Fold one job's stats into the report's: counts add, maxima take the max.
+void merge_stats(LintStats& into, const LintStats& s) {
+    auto& mod = into.modules;
+    mod.modules += s.modules.modules;
+    mod.ports += s.modules.ports;
+    mod.nets += s.modules.nets;
+    mod.assigns += s.modules.assigns;
+    mod.always_blocks += s.modules.always_blocks;
+    mod.instances += s.modules.instances;
+    auto& aig = into.aig;
+    aig.aigs += s.aig.aigs;
+    aig.pis += s.aig.pis;
+    aig.pos += s.aig.pos;
+    aig.ands += s.aig.ands;
+    aig.dead_ands += s.aig.dead_ands;
+    aig.unused_pis += s.aig.unused_pis;
+    aig.max_depth = std::max(aig.max_depth, s.aig.max_depth);
+    aig.max_fanout = std::max(aig.max_fanout, s.aig.max_fanout);
+    auto& luts = into.luts;
+    luts.networks += s.luts.networks;
+    luts.luts += s.luts.luts;
+    luts.dead_luts += s.luts.dead_luts;
+    luts.const_luts += s.luts.const_luts;
+    luts.duplicate_luts += s.luts.duplicate_luts;
+    luts.max_depth = std::max(luts.max_depth, s.luts.max_depth);
+    luts.max_fanout = std::max(luts.max_fanout, s.luts.max_fanout);
+    into.x_outputs_checked += s.x_outputs_checked;
+    into.x_proved_structural += s.x_proved_structural;
+    into.x_proved_exhaustive += s.x_proved_exhaustive;
+    into.x_lanes_simulated += s.x_lanes_simulated;
+}
+
 }  // namespace
 
 LintReport lint_design(const rtl::RtlDesign& design,
                        const model::TrainedModel* m,
-                       const LintOptions& options) {
-    LintReport report;
-
+                       const LintOptions& options, train::WorkerPool* pool) {
     // Module scope: every module of the design, so instance connections
     // resolve to real port declarations.
     std::vector<const rtl::Module*> scope;
@@ -116,21 +166,32 @@ LintReport lint_design(const rtl::RtlDesign& design,
     scope.push_back(&design.controller);
     scope.push_back(&design.top);
 
-    for (const rtl::Module* mod : scope)
-        lint_module(*mod, scope, report.findings, &report.stats.modules);
-
-    for (std::size_t i = 0; i < design.hcbs.size(); ++i) {
-        const auto& hcb = design.hcbs[i];
-        lint_aig(hcb.aig, "hcb " + std::to_string(i) + " aig",
-                 report.findings, &report.stats.aig);
-        if (options.map_luts && hcb.aig.strash_enabled()) {
-            const auto mapped = logic::map_to_luts(hcb.aig);
-            lint_lut_network(mapped.network,
-                             "hcb " + std::to_string(i) + " luts",
-                             report.findings, &report.stats.luts);
+    // Jobs 0..modules-1 lint one module each, the rest one HCB each; every
+    // job fills its own partial report.
+    std::vector<LintReport> parts(scope.size() + design.hcbs.size());
+    train::run_jobs(pool, parts.size(), [&](std::size_t j) {
+        LintReport& part = parts[j];
+        if (j < scope.size()) {
+            TRACE_SPAN("module-lint", "lint");
+            lint_module(*scope[j], scope, part.findings, &part.stats.modules);
+            return;
         }
-        if (options.check_x_sensitivity && m)
-            lint_hcb_x_sensitivity(hcb, i, *m, options, report);
+        const std::size_t i = j - scope.size();
+        obs::SpanGuard span("hcb-lint", "lint");
+        if (obs::TraceRecorder::instance().enabled()) {
+            util::Json args = util::Json::object();
+            args.set("hcb", double(i));
+            span.set_args(std::move(args));
+        }
+        lint_hcb(design.hcbs[i], i, m, options, part);
+    });
+
+    LintReport report;
+    for (auto& part : parts) {
+        report.findings.insert(report.findings.end(),
+                               std::make_move_iterator(part.findings.begin()),
+                               std::make_move_iterator(part.findings.end()));
+        merge_stats(report.stats, part.stats);
     }
     return report;
 }

@@ -29,6 +29,10 @@
 #include "rtl/generators.hpp"
 #include "util/json.hpp"
 
+namespace matador::train {
+class WorkerPool;
+}
+
 namespace matador::lint {
 
 /// Version of the lint subsystem's semantics (checks + ternary pass).
@@ -81,9 +85,18 @@ struct LintOptions {
 /// HCB AIG, the mapped LUT networks, and - when `m` is given - the ternary
 /// X-insensitivity proof of every HCB output against its clause's include
 /// mask.  Deterministic for a given design/options.
+///
+/// The work is one job per module (against the whole design as scope) and
+/// one per HCB (AIG lint, LUT mapping and LUT lint, the X pass), each
+/// writing its own partial report.  With `pool` the jobs fan out over its
+/// workers (train::run_jobs); without one they run inline.  The partial
+/// reports merge in job order - modules first, then HCBs - with stats
+/// summed and the depth and fanout maxima taken, so the report is the
+/// same with any pool or none.
 LintReport lint_design(const rtl::RtlDesign& design,
                        const model::TrainedModel* m,
-                       const LintOptions& options = {});
+                       const LintOptions& options = {},
+                       train::WorkerPool* pool = nullptr);
 
 // -- serialization / formatting ---------------------------------------------
 

@@ -112,6 +112,13 @@ XCheckResult check_x_insensitive(const logic::Aig& aig, std::size_t po,
         return aig.is_pi(n) && !care[aig.pi_index(n)];
     });
     if (sweeps == 0) return r;  // nothing to simulate: the walk is the verdict
+    if (r.proved_structural) {
+        // Every PI of the cone is cared, so every lane of every sweep is
+        // definite: report the lanes the sweeps would run, none of them X.
+        r.lanes_checked = exhaustive ? std::size_t(1) << small_cube : 64 * random_rounds;
+        r.proved_exhaustive = exhaustive;
+        return r;
+    }
     const auto slot_lit = [&](logic::Lit l) {
         const std::uint32_t n = logic::lit_node(l);
         const std::uint32_t slot =

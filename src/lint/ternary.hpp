@@ -87,7 +87,9 @@ struct XCheckResult {
 /// random sweeps seeded by `seed` (at 0 rounds the cone walk's structural
 /// verdict is the whole answer).  Each sweep simulates only the PO's
 /// cone; the verdict equals one computed with ternary_simulate over the
-/// whole AIG.
+/// whole AIG.  A cone the walk proves (no don't-care PI in it) cannot put
+/// X on any lane, so it returns without sweeping, with the lanes the
+/// sweeps would have checked (2^cared, or 64 x `random_rounds`).
 XCheckResult check_x_insensitive(const logic::Aig& aig, std::size_t po,
                                  const std::vector<bool>& care,
                                  std::size_t random_rounds, std::uint64_t seed);

@@ -160,9 +160,20 @@ TrainedModel TrainedModel::load(std::istream& is) {
         return v;
     };
 
-    const std::size_t features = expect_kv("features");
-    const std::size_t classes = expect_kv("classes");
-    const std::size_t cpc = expect_kv("clauses_per_class");
+    const auto bound = [](const char* field, std::size_t v, std::size_t max) {
+        if (v > max)
+            throw std::runtime_error(std::string("TrainedModel::load: ") + field + " " +
+                                     std::to_string(v) + " exceeds the limit of " +
+                                     std::to_string(max));
+        return v;
+    };
+    const std::size_t features = bound("features", expect_kv("features"), kMaxFeatures);
+    const std::size_t classes = bound("classes", expect_kv("classes"), kMaxClasses);
+    const std::size_t cpc =
+        bound("clauses_per_class", expect_kv("clauses_per_class"), kMaxClausesPerClass);
+    bound("classes x clauses_per_class", classes * cpc, kMaxClauses);
+    bound("features x classes x clauses_per_class", features * classes * cpc,
+          kMaxIncludeBits);
     TrainedModel m(features, classes, cpc);
 
     while (std::getline(is, line)) {

@@ -92,12 +92,29 @@ public:
     /// Version of the on-disk format written by save().
     static constexpr unsigned kFormatVersion = 1;
 
+    /// Largest header values load() accepts, checked before the model is
+    /// sized from them.  The largest shipped models are CIFAR-2's 1,024
+    /// features, 2 classes x 1,000 clauses, and flow-mnist's 10 classes x
+    /// 500 clauses over 784 features (5,000 clauses, 3.9 million bits per
+    /// include mask set).  Each bound is at least 50 times that.  Loading a
+    /// header at both product bounds (1,024 features, 256 x 1,024 clauses)
+    /// peaks at 93 MB: 64 MB of include masks, the rest clause records.
+    /// The per-field bounds also keep the products from overflowing.
+    static constexpr std::size_t kMaxFeatures = std::size_t(1) << 20;
+    static constexpr std::size_t kMaxClasses = std::size_t(1) << 16;
+    static constexpr std::size_t kMaxClausesPerClass = std::size_t(1) << 16;
+    /// classes x clauses_per_class.
+    static constexpr std::size_t kMaxClauses = std::size_t(1) << 18;
+    /// features x classes x clauses_per_class: one include mask set's bits.
+    static constexpr std::size_t kMaxIncludeBits = std::size_t(1) << 28;
+
     /// Plain-text, line-oriented format with a "MATADOR-TM v<N>" header.
     void save(std::ostream& os) const;
     void save_file(const std::string& path) const;
 
     /// Parse the format written by save(). Throws std::runtime_error with a
-    /// clear message on truncated, corrupt, or future-format-version input.
+    /// clear message on truncated, corrupt, or future-format-version input,
+    /// and on a header above the kMax* bounds (naming the field).
     static TrainedModel load(std::istream& is);
     static TrainedModel load_file(const std::string& path);
 

@@ -7,8 +7,10 @@
 #include "logic/aig_simulate.hpp"
 #include "logic/aiger.hpp"
 #include "model/clause_expression.hpp"
+#include "obs/trace.hpp"
 #include "rtl/verilog_parser.hpp"
 #include "rtl/verilog_writer.hpp"
+#include "train/worker_pool.hpp"
 #include "util/rng.hpp"
 
 namespace matador::rtl {
@@ -96,7 +98,8 @@ bool check_hcb_module_text(const HcbNetlist& hcb, const std::string& text,
 
 VerificationReport verify_design(const RtlDesign& design,
                                  const model::TrainedModel& m,
-                                 std::size_t random_vectors, std::uint64_t seed) {
+                                 std::size_t random_vectors, std::uint64_t seed,
+                                 train::WorkerPool* pool) {
     VerificationReport rep;
     util::Xoshiro256ss rng(seed);
     const auto exprs = model::export_expressions(m);
@@ -191,16 +194,32 @@ VerificationReport verify_design(const RtlDesign& design,
                             " HCBs";
     }
     if (rep.rtl_matches_aigs) {
-        for (std::size_t i = 0; i < design.hcbs.size(); ++i) {
-            std::string err;
-            const std::uint64_t hcb_seed = rng();
-            if (!check_hcb_module_text(design.hcbs[i], emit_module(design.hcb_comb[i]),
-                                       random_vectors, hcb_seed, &err)) {
-                rep.rtl_matches_aigs = false;
-                rep.first_failure = err;
-                break;
+        // One job per HCB.  Every seed is drawn before any check runs: the
+        // values a draw per check would give, since nothing draws from `rng`
+        // after level 3.  `passed` holds chars, not bits, because jobs
+        // write neighbouring slots at once.
+        const std::size_t n = design.hcbs.size();
+        std::vector<std::uint64_t> seeds(n);
+        for (auto& s : seeds) s = rng();
+        std::vector<char> passed(n, 0);
+        std::vector<std::string> errors(n);
+        train::run_jobs(pool, n, [&](std::size_t i) {
+            obs::SpanGuard span("level-3", "verify");
+            if (obs::TraceRecorder::instance().enabled()) {
+                util::Json args = util::Json::object();
+                args.set("hcb", double(i));
+                span.set_args(std::move(args));
             }
-            ++rep.hcbs_checked;
+            passed[i] = check_hcb_module_text(design.hcbs[i], emit_module(design.hcb_comb[i]),
+                                              random_vectors, seeds[i], &errors[i]);
+        });
+        for (std::size_t i = 0; i < n && rep.rtl_matches_aigs; ++i) {
+            if (passed[i]) {
+                ++rep.hcbs_checked;
+            } else {
+                rep.rtl_matches_aigs = false;
+                rep.first_failure = errors[i];
+            }
         }
     }
     return rep;

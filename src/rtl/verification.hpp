@@ -20,6 +20,10 @@
 #include "model/trained_model.hpp"
 #include "rtl/generators.hpp"
 
+namespace matador::train {
+class WorkerPool;
+}
+
 namespace matador::rtl {
 
 /// Outcome of the verification ladder.
@@ -41,10 +45,17 @@ struct VerificationReport {
 /// `random_vectors` full input vectors drive levels 1-2; level 3 checks
 /// each of `design.hcb_comb` against its HCB (check_hcb_module_text), with
 /// `random_vectors` 64-way sweeps for any HCB whose bytes differ.
-/// `hcbs_checked` counts the HCBs that passed level 3 either way.
+/// `hcbs_checked` counts the HCBs that passed level 3 in order up to the
+/// first that failed, whose error is `first_failure`.
+///
+/// Level 3 draws every HCB's seed in order first and then checks each HCB
+/// as one job: over `pool`'s workers (train::run_jobs) when given, inline
+/// otherwise.  The verdicts are read back in HCB order, so the report is
+/// the same with any pool or none.
 VerificationReport verify_design(const RtlDesign& design,
                                  const model::TrainedModel& m,
-                                 std::size_t random_vectors, std::uint64_t seed);
+                                 std::size_t random_vectors, std::uint64_t seed,
+                                 train::WorkerPool* pool = nullptr);
 
 /// Level 3 for one HCB, from its comb module's Verilog text: parse it
 /// under `hcb.aig.strash_enabled()`; when the parsed AIG's binary AIGER

@@ -1,7 +1,6 @@
 #include "sat/prove.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <limits>
 #include <mutex>
 #include <stdexcept>
@@ -305,6 +304,13 @@ InductionCase prove_case(const std::vector<rtl::HcbNetlist>& hcbs,
 ProveReport prove_design(const std::vector<rtl::HcbNetlist>& hcbs,
                          const model::TrainedModel& m,
                          const ProveOptions& options) {
+    train::WorkerPool pool(train::WorkerPool::resolve(options.threads));
+    return prove_design(hcbs, m, options, pool);
+}
+
+ProveReport prove_design(const std::vector<rtl::HcbNetlist>& hcbs,
+                         const model::TrainedModel& m,
+                         const ProveOptions& options, train::WorkerPool& pool) {
     obs::TimedSpan total("prove-design", "sat");
     ProveReport rep;
     rep.chain_stages = hcbs.size();
@@ -374,31 +380,25 @@ ProveReport prove_design(const std::vector<rtl::HcbNetlist>& hcbs,
     }
 
     // One job list on the pool: the induction cases first (the long jobs),
-    // then the miter builds, then the outputs in chunks.  Workers claim jobs
-    // through an atomic index and write each result to its own slot, so the
-    // report does not depend on which worker ran what.
+    // then the miter builds, then the outputs in chunks.  Each job writes
+    // its results to their own slots, so the report does not depend on
+    // which worker ran what.
     rep.outputs.resize(work.size());
     const std::size_t cases = rep.induction.size();
     const std::size_t builds = cases + miter_hcbs.size();
     const std::size_t jobs = builds + (work.size() + kOutputsPerJob - 1) / kOutputsPerJob;
-    std::atomic<std::size_t> next_job{0};
-    train::WorkerPool pool(train::WorkerPool::resolve(options.threads));
-    pool.run([&](unsigned) {
-        for (;;) {
-            const std::size_t j = next_job.fetch_add(1, std::memory_order_relaxed);
-            if (j >= jobs) return;
-            if (j < cases) {
-                auto& c = rep.induction[j];
-                c = prove_case(hcbs, m, live, k, c.is_base, c.index, options);
-            } else if (j < builds) {
-                miter_of(miter_hcbs[j - cases]);
-            } else {
-                const std::size_t first = (j - builds) * kOutputsPerJob;
-                const std::size_t last = std::min(work.size(), first + kOutputsPerJob);
-                for (std::size_t i = first; i < last; ++i)
-                    rep.outputs[i] = prove_output(hcbs[work[i].hcb], miter_of(work[i].hcb), m,
-                                                  work[i], options);
-            }
+    train::run_jobs(&pool, jobs, [&](std::size_t j) {
+        if (j < cases) {
+            auto& c = rep.induction[j];
+            c = prove_case(hcbs, m, live, k, c.is_base, c.index, options);
+        } else if (j < builds) {
+            miter_of(miter_hcbs[j - cases]);
+        } else {
+            const std::size_t first = (j - builds) * kOutputsPerJob;
+            const std::size_t last = std::min(work.size(), first + kOutputsPerJob);
+            for (std::size_t i = first; i < last; ++i)
+                rep.outputs[i] = prove_output(hcbs[work[i].hcb], miter_of(work[i].hcb), m,
+                                              work[i], options);
         }
     });
 

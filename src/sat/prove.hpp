@@ -22,10 +22,12 @@
 // Every obligation is independent, so prove_design drains one job list on
 // a worker pool: the induction cases first (each builds and solves its own
 // unrolled AIG; they are the long jobs), then one miter build per HCB, then
-// the outputs in fixed-size chunks.  Workers claim jobs through an atomic
-// index and each result lands in its own slot, so the report - verdicts,
-// witnesses, solver stats - is the same at any thread count; only the
-// `seconds` fields vary.
+// the outputs in fixed-size chunks.  Workers claim jobs through
+// train::run_jobs and each result lands in its own slot, so the report -
+// verdicts, witnesses, solver stats - is the same at any thread count;
+// only the `seconds` fields vary.  The pool is the caller's (the verify
+// stage runs every rung on its one pool) or, in the three-argument form,
+// one of ProveOptions::threads workers built for the call.
 //
 // What each obligation costs is set by its own cone:
 //  - An output solves a CNF of its one miter PO's cone (encode_cone) and
@@ -54,6 +56,10 @@
 #include "rtl/hcb_builder.hpp"
 #include "sat/solver.hpp"
 #include "util/json.hpp"
+
+namespace matador::train {
+class WorkerPool;
+}
 
 namespace matador::sat {
 
@@ -84,6 +90,7 @@ struct ProveOptions {
     std::uint64_t max_conflicts = 0;
     /// Worker threads draining the prove job list - the induction cases
     /// and the per-output obligations alike (0 = all hardware threads).
+    /// The form of prove_design that takes a pool ignores it.
     unsigned threads = 1;
 };
 
@@ -147,10 +154,18 @@ struct ProveReport {
     double seconds = 0.0;
 };
 
-/// Prove scalar-vs-netlist equivalence for the given HCB netlists.
+/// Prove scalar-vs-netlist equivalence for the given HCB netlists, on a
+/// pool of `options.threads` workers built for the call.
 ProveReport prove_design(const std::vector<rtl::HcbNetlist>& hcbs,
                          const model::TrainedModel& m,
                          const ProveOptions& options = {});
+
+/// The same proof with its job list drained by `pool`'s workers
+/// (`options.threads` is not read).  The report equals the three-argument
+/// form's at any pool size, `seconds` fields aside.
+ProveReport prove_design(const std::vector<rtl::HcbNetlist>& hcbs,
+                         const model::TrainedModel& m,
+                         const ProveOptions& options, train::WorkerPool& pool);
 
 // -- serialization / formatting ---------------------------------------------
 

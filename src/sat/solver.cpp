@@ -293,7 +293,6 @@ Lit Solver::pick_branch() {
 SolveResult Solver::solve(const std::vector<Lit>& assumptions) {
     for (const Lit a : assumptions) ensure_vars(var_of(a) + 1);
     backtrack(0);
-    learned_trace_.clear();
     last_assumptions_ = assumptions;
     if (unsat_) return SolveResult::kUnsat;
 

@@ -87,8 +87,9 @@ public:
     /// certified by the trace, not just claimed.
     bool verify_unsat() const;
 
-    /// Learned clauses of the last solve's derivation, in order (the trace
-    /// verify_unsat replays).
+    /// Learned clauses of every solve so far, in derivation order (the
+    /// trace verify_unsat replays).  Learned clauses stay in the database
+    /// across solves, so their derivation stays in the trace too.
     std::size_t trace_size() const { return learned_trace_.size(); }
 
     const SolverStats& stats() const { return stats_; }
@@ -184,7 +185,7 @@ private:
     std::uint64_t max_conflicts_ = 0;
     SolverStats stats_;
 
-    /// Derivation trace of the last solve: learned clauses in order.
+    /// Derivation trace of every solve: learned clauses in order.
     std::vector<std::vector<Lit>> learned_trace_;
     std::vector<Lit> last_assumptions_;
     /// Problem clauses (pre-learning), snapshotted for verify_unsat.

@@ -12,6 +12,19 @@ namespace matador::sim {
 using model::ArchParams;
 using model::TrainedModel;
 
+namespace {
+
+/// Bits [lo, lo + width) of `v` as the low bits of one word (width in
+/// [1, 64]); a window that straddles two backing words reads both.
+std::uint64_t window_bits(const util::BitVector& v, std::size_t lo, std::size_t width) {
+    const std::size_t w = lo / 64, shift = lo % 64;
+    std::uint64_t bits = v.word(w) >> shift;
+    if (shift != 0 && shift + width > 64) bits |= v.word(w + 1) << (64 - shift);
+    return width == 64 ? bits : bits & ((std::uint64_t{1} << width) - 1);
+}
+
+}  // namespace
+
 AcceleratorSim::AcceleratorSim(const TrainedModel& m, const ArchParams& arch)
     : arch_(arch),
       schedule_(model::schedule_clauses(m, arch.plan)),
@@ -25,7 +38,8 @@ AcceleratorSim::AcceleratorSim(const TrainedModel& m, const ArchParams& arch)
         for (std::size_t j = 0; j < clauses_per_class_; ++j)
             polarity_[c * clauses_per_class_ + j] = m.clause(c, j).polarity;
 
-    // Precompute each HCB's include windows as bus-aligned masks.
+    // Precompute each HCB's include windows as bus-aligned masks, each read
+    // from at most two words of the clause's include masks.
     hcb_windows_.resize(arch.plan.num_packets());
     for (std::size_t k = 0; k < arch.plan.num_packets(); ++k) {
         const std::size_t lo = arch.plan.packet_lo(k);
@@ -33,11 +47,8 @@ AcceleratorSim::AcceleratorSim(const TrainedModel& m, const ArchParams& arch)
         for (auto flat : schedule_.live_clauses) {
             const auto& cl = m.clause(flat / clauses_per_class_,
                                       flat % clauses_per_class_);
-            std::uint64_t pos = 0, neg = 0;
-            for (std::size_t f = lo; f < hi; ++f) {
-                if (cl.include_pos.get(f)) pos |= std::uint64_t{1} << (f - lo);
-                if (cl.include_neg.get(f)) neg |= std::uint64_t{1} << (f - lo);
-            }
+            const std::uint64_t pos = window_bits(cl.include_pos, lo, hi - lo);
+            const std::uint64_t neg = window_bits(cl.include_neg, lo, hi - lo);
             if (pos || neg) hcb_windows_[k].push_back({flat, pos, neg});
         }
     }

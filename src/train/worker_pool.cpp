@@ -1,6 +1,7 @@
 #include "train/worker_pool.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <string>
 
 #include "obs/trace.hpp"
@@ -83,6 +84,22 @@ void WorkerPool::run(const std::function<void(unsigned)>& fn) {
         lock.unlock();
         std::rethrow_exception(err);
     }
+}
+
+void run_jobs(WorkerPool* pool, std::size_t jobs,
+              const std::function<void(std::size_t)>& job) {
+    if (!pool) {
+        for (std::size_t j = 0; j < jobs; ++j) job(j);
+        return;
+    }
+    std::atomic<std::size_t> next{0};
+    pool->run([&](unsigned) {
+        for (;;) {
+            const std::size_t j = next.fetch_add(1, std::memory_order_relaxed);
+            if (j >= jobs) return;
+            job(j);
+        }
+    });
 }
 
 }  // namespace matador::train

@@ -1,4 +1,5 @@
-// Persistent worker pool for the parallel training engine.
+// Persistent worker pool for the parallel training engine and the verify
+// stage's rungs.
 //
 // A pool owns `size() - 1` background threads and co-opts the calling
 // thread as worker 0, so `WorkerPool(1)` degenerates to plain inline
@@ -9,6 +10,10 @@
 //
 // Exceptions thrown inside workers are captured and the first one is
 // rethrown from run() on the calling thread.
+//
+// run_jobs() is the claim loop for a list of independent jobs (lint,
+// ladder level 3 and prove drain theirs with it): workers take job indices
+// from one atomic counter until none is left.
 #pragma once
 
 #include <condition_variable>
@@ -63,5 +68,14 @@ private:
     bool stop_ = false;
     std::exception_ptr first_error_;
 };
+
+/// Run `job(j)` once for each j in [0, jobs).  On `pool`, every worker
+/// claims the next unclaimed index from one atomic counter until none is
+/// left, so long and short jobs spread over the workers; with no pool the
+/// jobs run inline, in order.  Jobs that each write only their own result
+/// slot give the same results at any worker count.  Rethrows the first job
+/// exception (as WorkerPool::run does).
+void run_jobs(WorkerPool* pool, std::size_t jobs,
+              const std::function<void(std::size_t)>& job);
 
 }  // namespace matador::train

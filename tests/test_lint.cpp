@@ -12,7 +12,10 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <cstdio>
 #include <filesystem>
+#include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -23,6 +26,7 @@
 #include "model/architecture.hpp"
 #include "model/trained_model.hpp"
 #include "rtl/generators.hpp"
+#include "train/worker_pool.hpp"
 #include "util/rng.hpp"
 
 namespace fs = std::filesystem;
@@ -569,6 +573,7 @@ lint::XCheckResult whole_aig_x_check(const Aig& aig, std::size_t po,
 TEST(Ternary, ConeLocalXCheckMatchesWholeAigSimulation) {
     util::Xoshiro256ss rng(2024);
     std::size_t exhaustive = 0, random = 0, failed = 0, proved = 0;
+    std::size_t structural_exhaustive = 0, structural_random = 0;
     for (int trial = 0; trial < 400; ++trial) {
         // Gates over earlier literals (constants and PIs included), so
         // cones overlap and some POs sit directly on a PI or a constant.
@@ -591,22 +596,36 @@ TEST(Ternary, ConeLocalXCheckMatchesWholeAigSimulation) {
         (cared <= 12 ? exhaustive : random)++;
 
         for (std::size_t po = 0; po < aig.num_pos(); ++po) {
+            // The random mask, and the same mask with the PO's whole cone
+            // cared: a structural proof, which check_x_insensitive returns
+            // without sweeping.
             const std::uint64_t seed = rng();
-            const auto want = whole_aig_x_check(aig, po, care, 3, seed);
-            const auto got = check_x_insensitive(aig, po, care, 3, seed);
-            EXPECT_EQ(got.proved_structural, want.proved_structural) << trial << "/" << po;
-            EXPECT_EQ(got.proved_exhaustive, want.proved_exhaustive) << trial << "/" << po;
-            EXPECT_EQ(got.lanes_checked, want.lanes_checked) << trial << "/" << po;
-            EXPECT_EQ(got.x_lanes, want.x_lanes) << trial << "/" << po;
-            failed += want.failed();
-            proved += want.proved();
+            std::vector<bool> all_cared = care;
+            const auto support = lint::po_support(aig, po);
+            for (std::size_t i = 0; i < n_pis; ++i) all_cared[i] = care[i] || support[i];
+            for (const std::vector<bool>* mask : {&care, &all_cared}) {
+                const auto want = whole_aig_x_check(aig, po, *mask, 3, seed);
+                const auto got = check_x_insensitive(aig, po, *mask, 3, seed);
+                EXPECT_EQ(got.proved_structural, want.proved_structural) << trial << "/" << po;
+                EXPECT_EQ(got.proved_exhaustive, want.proved_exhaustive) << trial << "/" << po;
+                EXPECT_EQ(got.lanes_checked, want.lanes_checked) << trial << "/" << po;
+                EXPECT_EQ(got.x_lanes, want.x_lanes) << trial << "/" << po;
+                failed += want.failed();
+                proved += want.proved();
+                if (want.proved_structural)
+                    (std::count(mask->begin(), mask->end(), true) <= 12 ? structural_exhaustive
+                                                                         : structural_random)++;
+            }
         }
     }
-    // Both sweep modes and both verdicts were exercised.
+    // Both sweep modes and both verdicts were exercised, and structural
+    // proofs in both modes.
     EXPECT_GT(exhaustive, 0u);
     EXPECT_GT(random, 0u);
     EXPECT_GT(failed, 0u);
     EXPECT_GT(proved, 0u);
+    EXPECT_GT(structural_exhaustive, 0u);
+    EXPECT_GT(structural_random, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -707,6 +726,86 @@ TEST(LintDesign, XPassMatchesPerOutputCareMasks) {
         EXPECT_EQ(flagged, want.unproved);
         if (model == &lying) EXPECT_FALSE(flagged.empty());
     }
+}
+
+/// Where a finding sits in the order lint_design promises: the modules in
+/// scope order (comb, seq, class_sum, argmax, controller, top), then per
+/// HCB its AIG findings, its LUT findings and its X findings.
+std::size_t finding_rank(const Finding& f, const rtl::RtlDesign& design) {
+    std::vector<std::string> modules;
+    for (const auto& mod : design.hcb_comb) modules.push_back("module " + mod.name);
+    for (const auto& mod : design.hcb_seq) modules.push_back("module " + mod.name);
+    for (const auto* mod : {&design.class_sum, &design.argmax, &design.controller, &design.top})
+        modules.push_back("module " + mod->name);
+    const auto it = std::find(modules.begin(), modules.end(), f.where);
+    if (it != modules.end()) return std::size_t(it - modules.begin());
+    std::size_t hcb = 0;
+    char part[8] = {};
+    EXPECT_EQ(std::sscanf(f.where.c_str(), "hcb %zu %7s", &hcb, part), 2) << f.where;
+    const std::size_t sub = std::string(part) == "luts" ? 1
+                            : f.check == lint::check::kXSensitive ? 2
+                                                                  : 0;
+    return modules.size() + 3 * hcb + sub;
+}
+
+TEST(LintDesign, PooledLintEqualsSerialLintInOrder) {
+    // The designs of CareMaskViolationFiresXSensitive: three HCBs, with the
+    // honest model, the lying one (X findings), and the lying one over a
+    // design with defects planted in a middle comb module and in the top.
+    const auto m = random_model(24, 2, 4, 0.12, 5);
+    const auto design = generate(m, /*strash=*/true);
+    ASSERT_EQ(design.hcbs.size(), 3u);
+    model::TrainedModel lying = m;
+    for (std::size_t c = 0; c < m.num_classes(); ++c)
+        for (std::size_t j = 0; j < m.clauses_per_class(); j += 2)
+            for (std::size_t f = 0; f < m.num_features(); ++f)
+                if (lying.clause(c, j).include_pos.get(f)) {
+                    lying.clause(c, j).include_pos.clear(f);
+                    break;
+                }
+    rtl::RtlDesign planted = design;
+    planted.hcb_comb[1].assigns.push_back({rtl::ref("ghost_out"), rtl::ref("ghost_in")});
+    planted.top.nets.push_back({"never_used", 1, false, false, ""});
+
+    const struct {
+        const rtl::RtlDesign* design;
+        const model::TrainedModel* model;
+    } cases[] = {{&design, &m}, {&design, &lying}, {&planted, &lying}};
+    for (const auto& c : cases) {
+        const auto serial = lint::lint_design(*c.design, c.model);
+        const std::string want = lint::lint_report_to_json(serial).dump();
+        for (const unsigned threads : {1u, 2u, 4u, 8u}) {
+            train::WorkerPool pool(threads);
+            EXPECT_EQ(lint::lint_report_to_json(lint::lint_design(*c.design, c.model, {}, &pool))
+                          .dump(),
+                      want)
+                << threads << " workers";
+        }
+        std::vector<std::size_t> ranks;
+        for (const auto& f : serial.findings) ranks.push_back(finding_rank(f, *c.design));
+        EXPECT_TRUE(std::is_sorted(ranks.begin(), ranks.end())) << render(serial.findings);
+        // Stats: counts summed over the jobs, maxima taken over them.
+        const auto& st = serial.stats;
+        EXPECT_EQ(st.modules.modules, 2 * design.hcbs.size() + 4);
+        EXPECT_EQ(st.aig.aigs, design.hcbs.size());
+        std::size_t ands = 0, depth = 0;
+        for (const auto& hcb : design.hcbs) {
+            ands += hcb.aig.num_ands();
+            depth = std::max<std::size_t>(depth, hcb.aig.depth());
+        }
+        EXPECT_EQ(st.aig.ands, ands);
+        EXPECT_EQ(st.aig.max_depth, depth);
+        EXPECT_EQ(st.luts.networks, design.hcbs.size());
+    }
+    // The cases have findings to order: X findings in more than one HCB,
+    // and module findings before them.
+    const auto report = lint::lint_design(planted, &lying);
+    std::set<std::string> x_hcbs;
+    for (const auto& f : report.findings)
+        if (f.check == lint::check::kXSensitive) x_hcbs.insert(f.where);
+    EXPECT_GT(x_hcbs.size(), 1u) << render(report.findings);
+    EXPECT_TRUE(has_check(report.findings, lint::check::kUnknownNet)) << render(report.findings);
+    EXPECT_TRUE(has_check(report.findings, lint::check::kUnused)) << render(report.findings);
 }
 
 // ---------------------------------------------------------------------------

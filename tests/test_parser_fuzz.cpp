@@ -1,7 +1,8 @@
 // Seeded mutation fuzzing of the parsers every serve request line goes
 // through (util::Json::parse and BitVector::from_string), of the AIGER
-// reader the artifact store's generate tier reads from disk, and of the
-// structural Verilog parser `matador lint <file.v>` and ladder level 3 read.  g++ ships no
+// reader the artifact store's generate tier reads from disk, of the
+// structural Verilog parser `matador lint <file.v>` and ladder level 3 read,
+// and of the model reader behind `--model` and serve's `load` op.  g++ ships no
 // libFuzzer, so this is an in-tree mutation loop with a fixed iteration
 // budget; the ASan/UBSan build runs it as part of the full suite.  Every
 // input is derived from a fixed seed, so a failure reproduces exactly.
@@ -13,6 +14,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "lint/aig_lint.hpp"
@@ -345,6 +347,76 @@ TEST(ParserFuzz, VerilogParserRefusesOversizedInput) {
         "module m (input a, output y);\n  assign y = " + std::string(100001, '~') +
         "a;\nendmodule\n");
     EXPECT_EQ(inverted.aig.po(0), logic::lit_not(inverted.aig.pi(0)));
+}
+
+/// `m` in its saved text form.
+std::string saved(const model::TrainedModel& m) {
+    std::ostringstream os;
+    m.save(os);
+    return os.str();
+}
+
+model::TrainedModel loaded(const std::string& text) {
+    std::istringstream is(text);
+    return model::TrainedModel::load(is);
+}
+
+TEST(ParserFuzz, TrainedModelLoadRejectsOrRoundTrips) {
+    model::TrainedModel m(16, 2, 4);
+    util::Xoshiro256ss rng(29);
+    for (std::size_t c = 0; c < 2; ++c)
+        for (std::size_t j = 0; j < 4; ++j)
+            for (std::size_t f = 0; f < 16; ++f) {
+                const std::uint64_t r = rng() % 5;
+                if (r == 0) m.clause(c, j).include_pos.set(f);
+                if (r == 1) m.clause(c, j).include_neg.set(f);
+            }
+    const std::string seed = saved(m);
+    ASSERT_EQ(saved(loaded(seed)), seed);
+
+    // Headers that would size a model of gigabytes: each must be refused,
+    // naming the field over its bound, before the model is allocated.
+    const auto header = [](const std::string& f, const std::string& k, const std::string& j) {
+        return "MATADOR-TM v1\nfeatures " + f + "\nclasses " + k + "\nclauses_per_class " + j +
+               "\nend\n";
+    };
+    const std::pair<std::string, std::string> oversized[] = {
+        {header("4000000000", "2", "4"), "features 4000000000"},
+        {header("16", "100000", "100000"), "classes 100000"},
+        {header("16", "2", "100000"), "clauses_per_class 100000"},
+        {header("16", "1000", "1000"), "classes x clauses_per_class 1000000"},
+        {header("60000", "100", "100"), "features x classes x clauses_per_class 600000000"},
+        {header("-1", "2", "4"), "features 18446744073709551615"},
+    };
+    for (const auto& [text, field] : oversized) {
+        try {
+            loaded(text);
+            ADD_FAILURE() << "loaded: " << text;
+        } catch (const std::runtime_error& e) {
+            EXPECT_NE(std::string(e.what()).find(": " + field + " exceeds the limit of "),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+
+    Mutator mutator(20261020);
+    std::size_t accepted = 0;
+    const std::size_t kIterations = 20000;
+    for (std::size_t i = 0; i < kIterations; ++i) {
+        const std::string input = mutator.mutate(seed);
+        std::string text;
+        try {
+            text = saved(loaded(input));
+        } catch (const std::runtime_error&) {
+            continue;  // rejected cleanly; any other exception fails
+        }
+        ++accepted;
+        // Whatever loads saves to a canonical text that loads back to the
+        // same model.
+        ASSERT_EQ(saved(loaded(text)), text) << "iteration " << i << " input: " << input;
+    }
+    EXPECT_GT(accepted, kIterations / 100);
+    EXPECT_LT(accepted, kIterations);
 }
 
 TEST(ParserFuzz, FromStringMatchesPerCharacterReference) {

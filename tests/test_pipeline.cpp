@@ -1,15 +1,22 @@
 // Tests for the staged Pipeline API: stage ordering, run-from/stop-after
 // selection, artifact-cache hit/miss behaviour, diagnostics propagation,
-// the verify stage's contract with its SAT rung on, and sweep determinism
-// across thread counts.
+// the verify stage's contract with its SAT rung on (and the order its
+// rungs run in on the stage's pool), and sweep determinism across thread
+// counts.
 #include "core/pipeline.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <iterator>
+#include <map>
+#include <string>
+#include <vector>
 
 #include "core/sweep.hpp"
 #include "data/synthetic.hpp"
+#include "obs/trace.hpp"
 #include "util/json.hpp"
 
 namespace {
@@ -410,6 +417,63 @@ TEST(PipelineVerify, LintErrorFailsVerifyAndLeavesProofUnset) {
             EXPECT_TRUE(d.message.starts_with("lint [unknown-net] ")) << d.message;
         }
     EXPECT_EQ(errors, ctx.lint_report->errors());
+}
+
+TEST(PipelineVerify, TracedRungsRunInTurnOnThePool) {
+    // A traced SAT-verify flow on 4 workers: lint, the ladder, the system
+    // sim, golden predict and the proof run one after another on the
+    // stage's thread, and the fanned-out rungs show their jobs.
+#ifdef MATADOR_OBS_NO_TRACING
+    GTEST_SKIP() << "tracing compiled out";
+#endif
+    const auto split = small_split();
+    FlowConfig cfg = sat_config();
+    cfg.train_threads = 4;
+    auto& rec = obs::TraceRecorder::instance();
+    rec.reset();
+    rec.enable();
+    const CompileContext ctx = Pipeline(cfg).run(split.train, split.test);
+    rec.disable();
+    const util::Json trace = rec.to_json();
+    rec.reset();
+    ASSERT_TRUE(ctx.ok()) << core::format_diagnostics(ctx);
+    ASSERT_TRUE(ctx.proof.has_value());
+
+    struct Span {
+        double begin = -1, end = -1;
+    };
+    std::map<std::string, Span> rung;
+    std::size_t module_jobs = 0;
+    std::map<std::string, std::vector<std::size_t>> hcb_jobs;
+    for (const util::Json& ev : trace.at("traceEvents").as_array()) {
+        if (ev.at("ph").as_string() != "X") continue;
+        const std::string name = ev.at("name").as_string();
+        const double ts = ev.at("ts").as_double();
+        if (name == "lint" || name == "ladder" || name == "system-sim" ||
+            name == "golden-predict" || name == "prove-design") {
+            EXPECT_EQ(rung[name].begin, -1) << name << " recorded twice";
+            rung[name] = {ts, ts + ev.at("dur").as_double()};
+        } else if (name == "module-lint") {
+            ++module_jobs;
+        } else if (name == "hcb-lint" || name == "level-3") {
+            hcb_jobs[name].push_back(ev.at("args").at("hcb").as_count());
+        }
+    }
+    const char* const order[] = {"lint", "ladder", "system-sim", "golden-predict",
+                                 "prove-design"};
+    for (const char* name : order) ASSERT_TRUE(rung.count(name)) << name;
+    for (std::size_t i = 1; i < std::size(order); ++i)
+        EXPECT_GE(rung[order[i]].begin, rung[order[i - 1]].end)
+            << order[i] << " starts before " << order[i - 1] << " ends";
+
+    const auto& design = *ctx.design;
+    std::vector<std::size_t> every_hcb(design.hcbs.size());
+    for (std::size_t i = 0; i < every_hcb.size(); ++i) every_hcb[i] = i;
+    EXPECT_EQ(module_jobs, 2 * design.hcbs.size() + 4);
+    for (const char* name : {"hcb-lint", "level-3"}) {
+        std::sort(hcb_jobs[name].begin(), hcb_jobs[name].end());
+        EXPECT_EQ(hcb_jobs[name], every_hcb) << name;
+    }
 }
 
 TEST(Pipeline, StageExceptionBecomesFailedStatusWithDiagnostic) {

@@ -292,6 +292,37 @@ TEST(SatSolver, AssumptionsAreIncremental) {
     EXPECT_EQ(s.solve(), SolveResult::kSat);
 }
 
+TEST(SatSolver, ReusedSolverCertifiesUnsatThatLeansOnEarlierLearning) {
+    // PHP(4) with every clause guarded by a selector: refuting it under
+    // !sel learns clauses up to the unit sel.  The second solve under !sel
+    // is refuted by that unit alone, with nothing new learned, so its
+    // answer replays only if the trace still holds the first derivation.
+    Cnf cnf = pigeonhole(4);
+    const Var sel = cnf.new_var();
+    for (auto& c : cnf.clauses) c.push_back(mk_lit(sel, false));
+    Solver s(cnf);
+    const std::vector<Lit> guard{mk_lit(sel, true)};
+    ASSERT_EQ(s.solve(guard), SolveResult::kUnsat);
+    EXPECT_TRUE(s.verify_unsat());
+    const std::size_t learned = s.trace_size();
+    EXPECT_GT(learned, 0u);
+    ASSERT_EQ(s.solve(guard), SolveResult::kUnsat);
+    EXPECT_EQ(s.trace_size(), learned);
+    EXPECT_TRUE(s.verify_unsat());
+    // A satisfiable solve in between keeps the trace sound.
+    ASSERT_EQ(s.solve({mk_lit(sel, false)}), SolveResult::kSat);
+    ASSERT_EQ(s.solve(guard), SolveResult::kUnsat);
+    EXPECT_TRUE(s.verify_unsat());
+
+    // Unguarded, the first solve refutes the database at the root and a
+    // second solve answers from that alone.
+    Solver php(pigeonhole(4));
+    ASSERT_EQ(php.solve(), SolveResult::kUnsat);
+    EXPECT_TRUE(php.verify_unsat());
+    ASSERT_EQ(php.solve(), SolveResult::kUnsat);
+    EXPECT_TRUE(php.verify_unsat());
+}
+
 TEST(SatSolver, ConflictBudgetReturnsUnknown) {
     Solver s(pigeonhole(7));
     s.set_max_conflicts(3);

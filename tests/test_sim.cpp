@@ -15,15 +15,20 @@ using matador::sim::AcceleratorSim;
 using matador::sim::SimConfig;
 using matador::util::BitVector;
 
-TrainedModel trained_model(std::size_t features, std::size_t classes,
-                           std::uint64_t seed) {
+matador::data::Dataset image_like(std::size_t features, std::size_t classes,
+                                  std::uint64_t seed) {
     matador::data::ImageLikeParams p;
     p.width = features / 8;
     p.height = 8;
     p.num_classes = classes;
     p.examples_per_class = 120;
     p.seed = seed;
-    const auto ds = matador::data::make_image_like(p);
+    return matador::data::make_image_like(p);
+}
+
+TrainedModel trained_model(std::size_t features, std::size_t classes,
+                           std::uint64_t seed) {
+    const auto ds = image_like(features, classes, seed);
     matador::tm::TmConfig cfg;
     cfg.clauses_per_class = 12;
     cfg.threshold = 8;
@@ -46,15 +51,29 @@ std::vector<BitVector> random_inputs(std::size_t n, std::size_t bits,
 }
 
 TEST(AcceleratorSim, PredictionsMatchGoldenModel) {
-    const auto m = trained_model(64, 3, 5);
-    ArchOptions o;
-    o.bus_width = 16;  // 4 packets
-    AcceleratorSim sim(m, derive_architecture(m, o));
-    const auto inputs = random_inputs(40, 64, 9);
-    const auto r = sim.run(inputs);
-    ASSERT_EQ(r.predictions.size(), inputs.size());
-    for (std::size_t i = 0; i < inputs.size(); ++i)
-        EXPECT_EQ(r.predictions[i], m.predict(inputs[i])) << "datapoint " << i;
+    // 64 features over a 16-bit bus (4 packets), then 200 features - not a
+    // multiple of 64, so the last packet is short, and some packets
+    // straddle two words of the include masks (63..70 at width 7, 48..72
+    // at width 24, 48..96 at width 48).  Random inputs plus training
+    // examples, on which the clauses do fire.
+    struct Case {
+        std::size_t features, bus_width;
+    };
+    for (const Case c : {Case{64, 16}, Case{200, 7}, Case{200, 24}, Case{200, 48},
+                         Case{200, 64}}) {
+        const auto m = trained_model(c.features, 3, 5);
+        auto inputs = random_inputs(40, c.features, 9);
+        const auto ds = image_like(c.features, 3, 5);
+        for (std::size_t i = 0; i < ds.size(); i += 9) inputs.push_back(ds.examples[i]);
+        ArchOptions o;
+        o.bus_width = c.bus_width;
+        AcceleratorSim sim(m, derive_architecture(m, o));
+        const auto r = sim.run(inputs);
+        ASSERT_EQ(r.predictions.size(), inputs.size()) << "bus width " << c.bus_width;
+        for (std::size_t i = 0; i < inputs.size(); ++i)
+            EXPECT_EQ(r.predictions[i], m.predict(inputs[i]))
+                << c.features << " features, bus width " << c.bus_width << ", datapoint " << i;
+    }
 }
 
 TEST(AcceleratorSim, LatencyMatchesArchitectureEquation) {

@@ -11,6 +11,7 @@
 #include <map>
 #include <set>
 #include <stdexcept>
+#include <vector>
 
 #include "data/synthetic.hpp"
 #include "obs/trace.hpp"
@@ -365,6 +366,29 @@ TEST(WorkerPool, PropagatesWorkerExceptions) {
     std::atomic<int> total{0};
     pool.run([&](unsigned) { total.fetch_add(1); });
     EXPECT_EQ(total.load(), 4);
+}
+
+TEST(WorkerPool, RunJobsClaimsEveryJobOnce) {
+    // Without a pool the jobs run inline, in order.
+    std::vector<std::size_t> order;
+    matador::train::run_jobs(nullptr, 5, [&](std::size_t j) { order.push_back(j); });
+    EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+    // On a pool every job runs exactly once, whatever the worker count,
+    // also with fewer jobs than workers and with none.
+    for (const unsigned threads : {1u, 3u, 8u})
+        for (const std::size_t jobs : {0u, 2u, 100u}) {
+            std::vector<std::atomic<int>> runs(jobs);
+            WorkerPool pool(threads);
+            matador::train::run_jobs(&pool, jobs, [&](std::size_t j) { runs[j].fetch_add(1); });
+            for (std::size_t j = 0; j < jobs; ++j)
+                EXPECT_EQ(runs[j].load(), 1) << threads << " workers, job " << j;
+        }
+    WorkerPool pool(4);
+    EXPECT_THROW(matador::train::run_jobs(&pool, 10,
+                                          [](std::size_t j) {
+                                              if (j == 7) throw std::runtime_error("boom");
+                                          }),
+                 std::runtime_error);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include "rtl/verilog_writer.hpp"
 #include "tm/tsetlin_machine.hpp"
 #include "train/parallel_trainer.hpp"
+#include "train/worker_pool.hpp"
 
 namespace {
 
@@ -101,6 +102,36 @@ TEST(Verification, LevelThreeRoundTripIsByteIdentical) {
         const auto rep = verify_design(design, m, 8, 7);
         EXPECT_TRUE(rep.ok()) << rep.first_failure;
         EXPECT_EQ(rep.hcbs_checked, design.hcbs.size());
+    }
+}
+
+TEST(Verification, PooledLevelThreeReportsTheFirstFailureInHcbOrder) {
+    // Corrupt the comb modules of a middle HCB and of the last one (each
+    // drives its last output inverted).  Level 3 must stop at the middle
+    // one as a serial walk does: the same hcbs_checked and first_failure
+    // with any pool, however the workers finish.
+    const TrainedModel m = trained_small_model();
+    ArchOptions o;
+    o.bus_width = 4;
+    auto design = generate_rtl(m, derive_architecture(m, o));
+    ASSERT_GE(design.hcbs.size(), 3u);
+    const std::size_t middle = design.hcbs.size() / 2;
+    for (const std::size_t i : {middle, design.hcbs.size() - 1}) {
+        auto& out = design.hcb_comb[i].assigns.back();
+        out.rhs = vnot(out.rhs);
+    }
+    const auto serial = verify_design(design, m, 8, 7);
+    EXPECT_FALSE(serial.rtl_matches_aigs);
+    EXPECT_EQ(serial.hcbs_checked, middle);
+    EXPECT_NE(serial.first_failure.find(design.hcb_comb[middle].name), std::string::npos)
+        << serial.first_failure;
+    for (const unsigned threads : {1u, 2u, 4u, 8u}) {
+        matador::train::WorkerPool pool(threads);
+        const auto pooled = verify_design(design, m, 8, 7, &pool);
+        EXPECT_FALSE(pooled.rtl_matches_aigs) << threads << " workers";
+        EXPECT_EQ(pooled.hcbs_checked, serial.hcbs_checked) << threads << " workers";
+        EXPECT_EQ(pooled.first_failure, serial.first_failure) << threads << " workers";
+        EXPECT_EQ(pooled.vectors_checked, serial.vectors_checked) << threads << " workers";
     }
 }
 

@@ -981,7 +981,9 @@ int cmd_lint(const CliArgs& args, const core::FlowConfig& cfg) {
             std::fputs(core::format_diagnostics(ctx).c_str(), stderr);
             return 1;
         }
-        report = lint::lint_design(*ctx.design, &m);
+        train::WorkerPool pool(
+            train::WorkerPool::resolve(unsigned(cfg.train_threads)));
+        report = lint::lint_design(*ctx.design, &m, {}, &pool);
     }
 
     if (args.flag("json"))
