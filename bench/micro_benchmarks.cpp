@@ -9,7 +9,6 @@
 #include "model/packetization.hpp"
 #include "rtl/generators.hpp"
 #include "rtl/verilog_parser.hpp"
-#include "rtl/verilog_writer.hpp"
 #include "sim/accelerator_sim.hpp"
 #include "tm/tsetlin_machine.hpp"
 #include "train/parallel_trainer.hpp"
@@ -86,9 +85,8 @@ BENCHMARK(BM_LutMapHcb);
 void BM_EmitAndParseHcb(benchmark::State& state) {
     const auto m = trained_tm().export_model();
     const auto hcbs = rtl::build_hcbs(m, model::PacketPlan(784, 64), true);
-    const auto module = rtl::generate_hcb_comb_module(hcbs.front(), "hcb_0_comb");
     for (auto _ : state) {
-        const std::string text = rtl::emit_module(module);
+        const std::string text = rtl::emit_hcb_comb(hcbs.front(), 0);
         benchmark::DoNotOptimize(rtl::parse_structural_verilog(text));
     }
 }

@@ -398,7 +398,7 @@ public:
         const auto lint_fn = [&]() -> LintArtifact {
             TRACE_SPAN("lint", "verify");
             LintArtifact a;
-            a.report = lint::lint_design(*ctx.design, &m, {}, &pool);
+            a.report = lint::lint_design(*ctx.design, &m, &pool);
             return a;
         };
         ArtifactTier lint_tier = ArtifactTier::kNone;

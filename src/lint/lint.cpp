@@ -51,8 +51,7 @@ std::string LintReport::summary() const {
 namespace {
 
 void lint_hcb_x_sensitivity(const rtl::HcbNetlist& hcb, std::size_t index,
-                            const model::TrainedModel& m,
-                            const LintOptions& options, LintReport& report) {
+                            const model::TrainedModel& m, LintReport& report) {
     const std::string where = "hcb " + std::to_string(index) + " aig";
     const auto& spec = hcb.spec;
     const std::size_t packet_bits = spec.hi - spec.lo;
@@ -71,9 +70,8 @@ void lint_hcb_x_sensitivity(const rtl::HcbNetlist& hcb, std::size_t index,
             care[f - spec.lo] = clause.include_pos.get(f) || clause.include_neg.get(f);
         const bool chained = spec.has_chain_input[out] && chain_pi < care.size();
         if (chained) care[chain_pi] = true;
-        const auto r = check_x_insensitive(hcb.aig, out, care,
-                                           options.ternary_rounds,
-                                           options.seed + index * 1315423911u);
+        const auto r = check_x_insensitive(hcb.aig, out, care, kTernaryRounds,
+                                           kTernarySeed + index * 1315423911u);
         if (chained) care[chain_pi] = false;
         if (spec.has_chain_input[out]) ++chain_pi;
         report.stats.x_outputs_checked += 1;
@@ -104,19 +102,18 @@ void lint_hcb_x_sensitivity(const rtl::HcbNetlist& hcb, std::size_t index,
 }
 
 /// Everything lint checks on one HCB: its AIG, its LUT mapping and, with
-/// a model, the X pass over its outputs.
+/// a model, the X pass over its outputs.  Like the generate stage, it maps
+/// only strashed AIGs: under DON'T_TOUCH every AND is its own LUT.
 void lint_hcb(const rtl::HcbNetlist& hcb, std::size_t index,
-              const model::TrainedModel* m, const LintOptions& options,
-              LintReport& report) {
+              const model::TrainedModel* m, LintReport& report) {
     lint_aig(hcb.aig, "hcb " + std::to_string(index) + " aig", report.findings,
              &report.stats.aig);
-    if (options.map_luts && hcb.aig.strash_enabled()) {
+    if (hcb.aig.strash_enabled()) {
         const auto mapped = logic::map_to_luts(hcb.aig);
         lint_lut_network(mapped.network, "hcb " + std::to_string(index) + " luts",
                          report.findings, &report.stats.luts);
     }
-    if (options.check_x_sensitivity && m)
-        lint_hcb_x_sensitivity(hcb, index, *m, options, report);
+    if (m) lint_hcb_x_sensitivity(hcb, index, *m, report);
 }
 
 /// Fold one job's stats into the report's: counts add, maxima take the max.
@@ -154,36 +151,39 @@ void merge_stats(LintStats& into, const LintStats& s) {
 }  // namespace
 
 LintReport lint_design(const rtl::RtlDesign& design,
-                       const model::TrainedModel* m,
-                       const LintOptions& options, train::WorkerPool* pool) {
-    // Module scope: every module of the design, so instance connections
-    // resolve to real port declarations.
-    std::vector<const rtl::Module*> scope;
-    for (const auto& mod : design.hcb_comb) scope.push_back(&mod);
-    for (const auto& mod : design.hcb_seq) scope.push_back(&mod);
-    scope.push_back(&design.class_sum);
-    scope.push_back(&design.argmax);
-    scope.push_back(&design.controller);
-    scope.push_back(&design.top);
+                       const model::TrainedModel* m, train::WorkerPool* pool) {
+    // The modules lint reads: every one the generators build as a tree.
+    std::vector<const rtl::Module*> linted;
+    for (const auto& mod : design.hcb_seq) linted.push_back(&mod);
+    for (const auto* mod : {&design.class_sum, &design.argmax, &design.controller, &design.top})
+        linted.push_back(mod);
+    // Their scope adds the comb modules' shells, so every instance
+    // connection resolves to a real port declaration.
+    std::vector<rtl::Module> shells;
+    for (std::size_t k = 0; k < design.hcbs.size(); ++k)
+        shells.push_back(rtl::hcb_comb_shell(design.hcbs[k], k));
+    std::vector<const rtl::Module*> scope = linted;
+    for (const auto& shell : shells) scope.push_back(&shell);
 
     // Jobs 0..modules-1 lint one module each, the rest one HCB each; every
     // job fills its own partial report.
-    std::vector<LintReport> parts(scope.size() + design.hcbs.size());
+    const std::size_t modules = linted.size();
+    std::vector<LintReport> parts(modules + design.hcbs.size());
     train::run_jobs(pool, parts.size(), [&](std::size_t j) {
         LintReport& part = parts[j];
-        if (j < scope.size()) {
+        if (j < modules) {
             TRACE_SPAN("module-lint", "lint");
-            lint_module(*scope[j], scope, part.findings, &part.stats.modules);
+            lint_module(*linted[j], scope, part.findings, &part.stats.modules);
             return;
         }
-        const std::size_t i = j - scope.size();
+        const std::size_t i = j - modules;
         obs::SpanGuard span("hcb-lint", "lint");
         if (obs::TraceRecorder::instance().enabled()) {
             util::Json args = util::Json::object();
             args.set("hcb", double(i));
             span.set_args(std::move(args));
         }
-        lint_hcb(design.hcbs[i], i, m, options, part);
+        lint_hcb(design.hcbs[i], i, m, part);
     });
 
     LintReport report;

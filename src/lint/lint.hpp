@@ -38,7 +38,16 @@ namespace matador::lint {
 /// Version of the lint subsystem's semantics (checks + ternary pass).
 /// Folded into the lint cache key so checker changes invalidate cached
 /// verdicts; bump on any change that could alter a finding or stat.
-inline constexpr unsigned kLintSubsystemVersion = 1;
+/// 2: module lint no longer reads the HCB comb modules (they are text
+/// written from the AIGs, which AIG lint and the X pass cover), so the
+/// module stats count only the modules built as trees.
+inline constexpr unsigned kLintSubsystemVersion = 2;
+
+/// Random 64-lane ternary sweeps per HCB output when the cared cube is too
+/// large to exhaust (see check_x_insensitive), and the seed of HCB 0's
+/// sweeps; HCB i's is kTernarySeed + i * 1315423911.
+inline constexpr std::size_t kTernaryRounds = 2;
+inline constexpr std::uint64_t kTernarySeed = 0x11d5;
 
 /// Aggregated structural statistics over everything a lint run analyzed.
 struct LintStats {
@@ -66,36 +75,24 @@ struct LintReport {
     std::string summary() const;
 };
 
-/// Knobs of a lint run.
-struct LintOptions {
-    /// Random 64-lane ternary sweeps per HCB output when the cared cube is
-    /// too large to exhaust (see check_x_insensitive).
-    std::size_t ternary_rounds = 2;
-    std::uint64_t seed = 0x11d5;
-    /// Run the ternary X-insensitivity pass (needs the trained model for
-    /// the per-clause care masks).
-    bool check_x_sensitivity = true;
-    /// Map each HCB AIG to LUTs and lint the mapped network.  Matches the
-    /// generate stage: mapping is skipped for DON'T_TOUCH (strash = false)
-    /// designs, where every AND instantiates as its own LUT.
-    bool map_luts = true;
-};
-
-/// Lint a complete generated design: every RTL module (AST level), every
-/// HCB AIG, the mapped LUT networks, and - when `m` is given - the ternary
+/// Lint a complete generated design: every module the generators build as
+/// a tree (all but the hcb_<k>_comb modules), every HCB AIG, the mapped
+/// LUT networks of strashed designs and - when `m` is given - the ternary
 /// X-insensitivity proof of every HCB output against its clause's include
-/// mask.  Deterministic for a given design/options.
+/// mask.  The comb modules are text written from the AIGs, so AIG lint and
+/// the X pass cover their logic; their shells (rtl::hcb_comb_shell) stay in
+/// the module scope, so each u_comb connection is checked against real
+/// ports.  Deterministic for a given design.
 ///
-/// The work is one job per module (against the whole design as scope) and
-/// one per HCB (AIG lint, LUT mapping and LUT lint, the X pass), each
-/// writing its own partial report.  With `pool` the jobs fan out over its
-/// workers (train::run_jobs); without one they run inline.  The partial
-/// reports merge in job order - modules first, then HCBs - with stats
-/// summed and the depth and fanout maxima taken, so the report is the
-/// same with any pool or none.
+/// The work is one job per linted module (against the whole design as
+/// scope) and one per HCB (AIG lint, LUT mapping and LUT lint, the X
+/// pass), each writing its own partial report.  With `pool` the jobs fan
+/// out over its workers (train::run_jobs); without one they run inline.
+/// The partial reports merge in job order - modules first, then HCBs -
+/// with stats summed and the depth and fanout maxima taken, so the report
+/// is the same with any pool or none.
 LintReport lint_design(const rtl::RtlDesign& design,
                        const model::TrainedModel* m,
-                       const LintOptions& options = {},
                        train::WorkerPool* pool = nullptr);
 
 // -- serialization / formatting ---------------------------------------------

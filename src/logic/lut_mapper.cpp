@@ -55,8 +55,8 @@ std::uint64_t cone_truth(const Aig& aig, std::uint32_t root,
 
 }  // namespace
 
-MapResult map_to_luts(const Aig& aig, const MapperOptions& options) {
-    const CutEnumeration cuts = enumerate_cuts(aig, {options.k, options.max_cuts});
+MapResult map_to_luts(const Aig& aig) {
+    const CutEnumeration cuts = enumerate_cuts(aig, CutParams{});
 
     LutNetwork net(aig.num_pis());
     constexpr std::uint32_t kUnmapped = 0xffffffffu;

@@ -1,4 +1,4 @@
-// k-LUT technology mapping over the AIG (priority cuts, depth-oriented
+// 6-LUT technology mapping over the AIG (priority cuts, depth-oriented
 // with area-flow tie-breaking, exact cover extraction).
 //
 // This reproduces, in miniature, what Vivado's synthesis does to the HCB
@@ -13,19 +13,16 @@
 
 namespace matador::logic {
 
-struct MapperOptions {
-    unsigned k = 6;          ///< LUT input count (7-series: 6)
-    unsigned max_cuts = 8;   ///< priority-cut set size
-};
-
 struct MapResult {
     LutNetwork network;      ///< the mapped netlist
     std::size_t lut_count;   ///< LUTs instantiated
     std::uint32_t depth;     ///< LUT levels on the critical path
 };
 
-/// Map `aig` to a k-LUT network.  The result is functionally equivalent to
-/// the AIG (verifiable via LutNetwork::evaluate vs logic::simulate).
-MapResult map_to_luts(const Aig& aig, const MapperOptions& options = {});
+/// Map `aig` to a 6-LUT network (the 7-series LUT) over the default
+/// priority cuts (CutParams: 8 per node).  The result is functionally
+/// equivalent to the AIG (verifiable via LutNetwork::evaluate vs
+/// logic::simulate).
+MapResult map_to_luts(const Aig& aig);
 
 }  // namespace matador::logic

@@ -191,6 +191,13 @@ TrainedModel TrainedModel::load(std::istream& is) {
             throw std::runtime_error("TrainedModel::load: malformed clause line");
         if (c >= classes || j >= cpc)
             throw std::runtime_error("TrainedModel::load: clause index out of range");
+        // Training, export and the RTL class sum give even clauses +1 and
+        // odd ones -1; any other polarity would be voted inconsistently.
+        if (pol != (j % 2 == 0 ? 1 : -1))
+            throw std::runtime_error("TrainedModel::load: clause " + std::to_string(c) + " " +
+                                     std::to_string(j) + " has polarity " +
+                                     std::to_string(pol) + ", its index implies " +
+                                     (j % 2 == 0 ? "1" : "-1"));
         auto& cl = m.clause(c, j);
         cl.polarity = pol;
         std::string tok;

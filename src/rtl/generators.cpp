@@ -1,8 +1,8 @@
 #include "rtl/generators.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <filesystem>
+#include <fstream>
 #include <stdexcept>
 
 #include "rtl/verilog_writer.hpp"
@@ -12,35 +12,13 @@ namespace matador::rtl {
 using logic::Aig;
 using logic::Lit;
 
-namespace {
-
-/// Expression for an AIG literal inside an HCB comb module.
-/// Packet-bit PIs become packet[b], chain PIs chain_in[j], AND nodes n<id>.
-ExprP lit_expr(const Aig& aig, Lit l, std::size_t packet_bits) {
-    ExprP base;
-    if (logic::lit_node(l) == 0) {
-        base = bconst(1, 0);
-    } else if (aig.is_pi(logic::lit_node(l))) {
-        const std::size_t pi = aig.pi_index(logic::lit_node(l));
-        base = pi < packet_bits ? idx("packet", int(pi))
-                                : idx("chain_in", int(pi - packet_bits));
-    } else {
-        base = ref("n" + std::to_string(logic::lit_node(l)));
-    }
-    return logic::lit_complement(l) ? vnot(std::move(base)) : base;
-}
-
-}  // namespace
-
-Module generate_hcb_comb_module(const HcbNetlist& hcb, const std::string& name,
-                                bool dont_touch) {
-    const Aig& aig = hcb.aig;
+Module hcb_comb_shell(const HcbNetlist& hcb, std::size_t k, bool dont_touch) {
     const std::size_t packet_bits = hcb.spec.hi - hcb.spec.lo;
-    const std::size_t n_chain = aig.num_pis() - packet_bits;
-    const std::size_t n_out = aig.num_pos();
+    const std::size_t n_chain = hcb.aig.num_pis() - packet_bits;
+    const std::size_t n_out = hcb.aig.num_pos();
 
     Module m;
-    m.name = name;
+    m.name = "hcb_" + std::to_string(k) + "_comb";
     m.dont_touch = dont_touch;
     m.header_comments = {
         "Hard Coded Clause Block " + std::to_string(hcb.spec.packet) +
@@ -55,44 +33,59 @@ Module generate_hcb_comb_module(const HcbNetlist& hcb, const std::string& name,
     // A packet range no clause includes leaves an HCB with no partials at
     // all (pure wire-through stage); such a module has no outputs.
     if (n_out > 0) m.ports.push_back({"pc", int(n_out), PortDir::kOutput, false});
-
-    // Emit one assign per PO-reachable AND node, in topological order.
-    std::vector<bool> reachable(aig.num_nodes(), false);
-    {
-        std::deque<std::uint32_t> work;
-        for (auto po : aig.pos()) {
-            const auto n = logic::lit_node(po);
-            if (!reachable[n]) {
-                reachable[n] = true;
-                work.push_back(n);
-            }
-        }
-        while (!work.empty()) {
-            const auto n = work.front();
-            work.pop_front();
-            if (!aig.is_and(n)) continue;
-            for (Lit f : {aig.node_fanin0(n), aig.node_fanin1(n)}) {
-                const auto x = logic::lit_node(f);
-                if (!reachable[x]) {
-                    reachable[x] = true;
-                    work.push_back(x);
-                }
-            }
-        }
-    }
-
-    for (std::uint32_t n = 1; n < aig.num_nodes(); ++n) {
-        if (!reachable[n] || !aig.is_and(n)) continue;
-        m.nets.push_back({"n" + std::to_string(n), 1, false, false, ""});
-        m.assigns.push_back(
-            {ref("n" + std::to_string(n)),
-             vand(lit_expr(aig, aig.node_fanin0(n), packet_bits),
-                  lit_expr(aig, aig.node_fanin1(n), packet_bits))});
-    }
-    for (std::size_t i = 0; i < n_out; ++i)
-        m.assigns.push_back(
-            {idx("pc", int(i)), lit_expr(aig, aig.po(i), packet_bits)});
     return m;
+}
+
+std::string emit_hcb_comb(const HcbNetlist& hcb, std::size_t k, bool dont_touch) {
+    const Aig& aig = hcb.aig;
+    const std::size_t packet_bits = hcb.spec.hi - hcb.spec.lo;
+
+    // The PO-reachable AND nodes.  Fanins precede fanouts, so one sweep
+    // down the node ids marks every cone.
+    std::vector<char> reachable(aig.num_nodes(), 0);
+    for (const Lit po : aig.pos()) reachable[logic::lit_node(po)] = 1;
+    std::vector<std::uint32_t> ands;
+    for (std::uint32_t n = std::uint32_t(aig.num_nodes()); n-- > 1;) {
+        if (!reachable[n] || !aig.is_and(n)) continue;
+        reachable[logic::lit_node(aig.node_fanin0(n))] = 1;
+        reachable[logic::lit_node(aig.node_fanin1(n))] = 1;
+        ands.push_back(n);
+    }
+    std::reverse(ands.begin(), ands.end());
+
+    // Packet-bit PIs are packet[b], chain PIs chain_in[j], AND nodes n<id>.
+    std::string text = emit_module_header(hcb_comb_shell(hcb, k, dont_touch));
+    const auto lit = [&](Lit l) {
+        if (logic::lit_complement(l)) text += '~';
+        const std::uint32_t n = logic::lit_node(l);
+        if (n == 0) {
+            text += "1'b0";
+        } else if (aig.is_pi(n)) {
+            const std::size_t pi = aig.pi_index(n);
+            text += pi < packet_bits ? "packet[" + std::to_string(pi)
+                                     : "chain_in[" + std::to_string(pi - packet_bits);
+            text += ']';
+        } else {
+            text += 'n' + std::to_string(n);
+        }
+    };
+    for (const std::uint32_t n : ands) text += "  wire n" + std::to_string(n) + ";\n";
+    if (!ands.empty()) text += '\n';
+    for (const std::uint32_t n : ands) {
+        text += "  assign n" + std::to_string(n) + " = ";
+        lit(aig.node_fanin0(n));
+        text += " & ";
+        lit(aig.node_fanin1(n));
+        text += ";\n";
+    }
+    for (std::size_t i = 0; i < aig.num_pos(); ++i) {
+        text += "  assign pc[" + std::to_string(i) + "] = ";
+        lit(aig.po(i));
+        text += ";\n";
+    }
+    if (aig.num_pos() > 0) text += '\n';
+    text += "endmodule\n";
+    return text;
 }
 
 namespace {
@@ -416,7 +409,17 @@ Module generate_top_module(const RtlDesign& d) {
         m.instances.push_back(std::move(inst));
     }
 
-    // HCB chain.  hcb_k latches when packet k is on the bus.
+    // HCB chain.  hcb_k latches when packet k is on the bus.  producer[c]
+    // is the register bit that holds clause c's latest partial: the HCB
+    // before k that last had it active, while hcb_k is wired.
+    struct Tap {
+        std::size_t hcb = SIZE_MAX;
+        int bit = 0;
+    };
+    std::vector<Tap> producer(d.schedule.last_active_packet.size());
+    const auto tap = [](const Tap& t) {
+        return idx("hcb" + std::to_string(t.hcb) + "_out", t.bit);
+    };
     for (std::size_t k = 0; k < packets; ++k) {
         const auto& spec = d.hcbs[k].spec;
         const std::size_t packet_bits = spec.hi - spec.lo;
@@ -443,23 +446,12 @@ Module generate_top_module(const RtlDesign& d) {
                           ? ref("s_axis_tdata")
                           : slice("s_axis_tdata", int(packet_bits) - 1, 0));
         if (n_chain > 0) {
-            // Gather chain inputs: each comes from the producing HCB's
-            // registered output for the same clause.
+            // Gather chain inputs, MSB first: each comes from the producing
+            // HCB's registered output for the same clause.
             std::vector<ExprP> parts;
-            for (std::size_t i = spec.active_clauses.size(); i-- > 0;) {
-                if (!spec.has_chain_input[i]) continue;
-                const std::uint32_t flat = spec.active_clauses[i];
-                // Find the previous HCB (< k) where this clause was active.
-                for (std::size_t p = k; p-- > 0;) {
-                    const auto& ps = d.hcbs[p].spec;
-                    const auto it = std::find(ps.active_clauses.begin(),
-                                              ps.active_clauses.end(), flat);
-                    if (it != ps.active_clauses.end()) {
-                        const int bit = int(it - ps.active_clauses.begin());
-                        parts.push_back(idx("hcb" + std::to_string(p) + "_out", bit));
-                        break;
-                    }
-                }
+            for (std::size_t i = n_out; i-- > 0;) {
+                const Tap& t = producer[spec.active_clauses[i]];
+                if (spec.has_chain_input[i] && t.hcb != SIZE_MAX) parts.push_back(tap(t));
             }
             inst.connections.emplace_back(
                 "chain_in", parts.size() == 1 ? parts.front()
@@ -467,21 +459,16 @@ Module generate_top_module(const RtlDesign& d) {
         }
         if (n_out > 0) inst.connections.emplace_back("pc_out", ref(outw));
         m.instances.push_back(std::move(inst));
+        for (std::size_t i = 0; i < n_out; ++i)
+            producer[spec.active_clauses[i]] = {k, int(i)};
     }
 
     // Final clause values: each live clause's last producing HCB register.
     m.nets.push_back({"clause_final", int(live), false, false,
                       "final clause outputs feeding Class Sum"});
-    for (std::size_t i = 0; i < live; ++i) {
-        const std::uint32_t flat = d.schedule.live_clauses[i];
-        const std::size_t last = d.schedule.last_active_packet[flat];
-        const auto& ps = d.hcbs[last].spec;
-        const auto it =
-            std::find(ps.active_clauses.begin(), ps.active_clauses.end(), flat);
-        const int bit = int(it - ps.active_clauses.begin());
-        m.assigns.push_back({idx("clause_final", int(i)),
-                             idx("hcb" + std::to_string(last) + "_out", bit)});
-    }
+    for (std::size_t i = 0; i < live; ++i)
+        m.assigns.push_back(
+            {idx("clause_final", int(i)), tap(producer[d.schedule.live_clauses[i]])});
 
     // Class sum.
     {
@@ -523,8 +510,7 @@ RtlDesign assemble_rtl(const model::TrainedModel& tm, const model::ArchParams& a
     d.hcbs = std::move(hcbs);
 
     for (std::size_t k = 0; k < d.hcbs.size(); ++k) {
-        d.hcb_comb.push_back(generate_hcb_comb_module(
-            d.hcbs[k], "hcb_" + std::to_string(k) + "_comb", !strash));
+        d.hcb_comb.push_back(emit_hcb_comb(d.hcbs[k], k, !strash));
         d.hcb_seq.push_back(generate_hcb_seq_module(d.hcbs[k], k));
     }
     d.class_sum = generate_class_sum_module(tm, arch, d.schedule);
@@ -537,17 +523,18 @@ RtlDesign assemble_rtl(const model::TrainedModel& tm, const model::ArchParams& a
 std::vector<std::string> write_design(const RtlDesign& d, const std::string& dir) {
     std::filesystem::create_directories(dir);
     std::vector<std::string> paths;
-    auto write = [&](const Module& m) {
-        const std::string path = dir + "/" + m.name + ".v";
-        write_module_file(m, path);
+    auto write = [&](const std::string& name, const std::string& text) {
+        const std::string path = dir + "/" + name + ".v";
+        std::ofstream f(path);
+        if (!f) throw std::runtime_error("write_design: cannot open " + path);
+        f << text;
         paths.push_back(path);
     };
-    for (const auto& m : d.hcb_comb) write(m);
-    for (const auto& m : d.hcb_seq) write(m);
-    write(d.class_sum);
-    write(d.argmax);
-    write(d.controller);
-    write(d.top);
+    for (std::size_t k = 0; k < d.hcb_comb.size(); ++k)
+        write("hcb_" + std::to_string(k) + "_comb", d.hcb_comb[k]);
+    for (const auto& m : d.hcb_seq) write(m.name, emit_module(m));
+    for (const Module* m : {&d.class_sum, &d.argmax, &d.controller, &d.top})
+        write(m->name, emit_module(*m));
     return paths;
 }
 

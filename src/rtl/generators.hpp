@@ -1,8 +1,9 @@
 // RTL generators: TrainedModel + ArchParams -> complete accelerator design.
 //
 // Produces the block diagram of Fig. 5 as synthesisable Verilog-2001:
-//   * hcb_<k>_comb : pure combinational partial-clause logic (from the AIG;
-//                    round-trippable through the structural parser),
+//   * hcb_<k>_comb : pure combinational partial-clause logic, written as
+//                    text straight from the HCB's AIG (round-trippable
+//                    through the structural parser),
 //   * hcb_<k>      : sequential wrapper with the Clause Out register,
 //   * class_sum    : per-class polarity-split adder trees, pipelined,
 //   * argmax_tree  : binary comparison tree, pipelined, ties to lower index,
@@ -26,8 +27,8 @@ struct RtlDesign {
     ClauseSchedule schedule;
     std::vector<HcbNetlist> hcbs;   ///< the AIGs behind the comb modules
 
-    std::vector<Module> hcb_comb;   ///< hcb_<k>_comb
-    std::vector<Module> hcb_seq;    ///< hcb_<k>
+    std::vector<std::string> hcb_comb;  ///< hcb_<k>_comb's Verilog text
+    std::vector<Module> hcb_seq;        ///< hcb_<k>
     Module class_sum;
     Module argmax;
     Module controller;
@@ -47,10 +48,17 @@ RtlDesign generate_rtl(const model::TrainedModel& m, const model::ArchParams& ar
 RtlDesign assemble_rtl(const model::TrainedModel& m, const model::ArchParams& arch,
                        std::vector<HcbNetlist> hcbs, bool strash = true);
 
-/// Build just one HCB's combinational module from its netlist
-/// (exposed for the verification flow and tests).
-Module generate_hcb_comb_module(const HcbNetlist& hcb, const std::string& name,
-                                bool dont_touch = false);
+/// The shell of HCB k's combinational module: its name (hcb_<k>_comb),
+/// header comments, DONT_TOUCH attribute and ports, with no body.  It is
+/// the interface hcb_<k> instantiates (lint scopes it as such).
+Module hcb_comb_shell(const HcbNetlist& hcb, std::size_t k, bool dont_touch = false);
+
+/// HCB k's combinational module as Verilog text, written straight from its
+/// AIG: the shell's header, then one `wire n<id>;` and one
+/// `assign n<id> = <lit> & <lit>;` per PO-reachable AND node in id order,
+/// then `assign pc[i] = <lit>;` per output.  A literal is packet[b],
+/// chain_in[j], n<id> or 1'b0, with `~` when complemented.
+std::string emit_hcb_comb(const HcbNetlist& hcb, std::size_t k, bool dont_touch = false);
 
 /// Write every module of the design into `dir` (one .v file per module).
 /// Returns the written file paths.

@@ -9,7 +9,6 @@
 #include "model/clause_expression.hpp"
 #include "obs/trace.hpp"
 #include "rtl/verilog_parser.hpp"
-#include "rtl/verilog_writer.hpp"
 #include "train/worker_pool.hpp"
 #include "util/rng.hpp"
 
@@ -184,8 +183,8 @@ VerificationReport verify_design(const RtlDesign& design,
         }
     }
 
-    // Level 3: the comb modules the design carries (the ones write_design
-    // writes), emitted, parsed back and checked against the AIGs.
+    // Level 3: the comb modules' text the design carries (what write_design
+    // writes), parsed back and checked against the AIGs.
     rep.rtl_matches_aigs = rep.hcb_aigs_match_expressions;
     if (rep.rtl_matches_aigs && design.hcb_comb.size() != design.hcbs.size()) {
         rep.rtl_matches_aigs = false;
@@ -210,7 +209,7 @@ VerificationReport verify_design(const RtlDesign& design,
                 args.set("hcb", double(i));
                 span.set_args(std::move(args));
             }
-            passed[i] = check_hcb_module_text(design.hcbs[i], emit_module(design.hcb_comb[i]),
+            passed[i] = check_hcb_module_text(design.hcbs[i], design.hcb_comb[i],
                                               random_vectors, seeds[i], &errors[i]);
         });
         for (std::size_t i = 0; i < n && rep.rtl_matches_aigs; ++i) {

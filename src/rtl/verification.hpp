@@ -4,7 +4,7 @@
 //   1. expression level : exported clause expressions vs the TrainedModel,
 //   2. netlist level    : per-HCB AIGs vs partial-clause expression
 //                         semantics, chained end to end,
-//   3. RTL text level   : the design's hcb_*_comb modules emitted,
+//   3. RTL text level   : the text of the design's hcb_*_comb modules
 //                         parsed back under the design's own strash flag
 //                         and compared with the generator's AIG: identical
 //                         AIGER bytes are a proof; otherwise co-simulation
@@ -43,8 +43,9 @@ struct VerificationReport {
 
 /// Run the full ladder on a generated design.
 /// `random_vectors` full input vectors drive levels 1-2; level 3 checks
-/// each of `design.hcb_comb` against its HCB (check_hcb_module_text), with
-/// `random_vectors` 64-way sweeps for any HCB whose bytes differ.
+/// the text of each of `design.hcb_comb` against its HCB
+/// (check_hcb_module_text), with `random_vectors` 64-way sweeps for any HCB
+/// whose bytes differ.
 /// `hcbs_checked` counts the HCBs that passed level 3 in order up to the
 /// first that failed, whose error is `first_failure`.
 ///

@@ -1,8 +1,6 @@
 #include "rtl/verilog_writer.hpp"
 
-#include <fstream>
 #include <sstream>
-#include <stdexcept>
 
 namespace matador::rtl {
 
@@ -177,7 +175,7 @@ std::string emit_expr(const Expr& e) {
     return os.str();
 }
 
-std::string emit_module(const Module& m) {
+std::string emit_module_header(const Module& m) {
     std::ostringstream os;
     for (const auto& c : m.header_comments) os << "// " << c << "\n";
     if (m.dont_touch) os << "(* DONT_TOUCH = \"yes\" *)\n";
@@ -189,6 +187,12 @@ std::string emit_module(const Module& m) {
            << (i + 1 < m.ports.size() ? "," : "") << "\n";
     }
     os << ");\n\n";
+    return os.str();
+}
+
+std::string emit_module(const Module& m) {
+    std::ostringstream os;
+    os << emit_module_header(m);
 
     for (const auto& n : m.nets) {
         os << "  " << (n.is_reg ? "reg " : "wire ") << (n.is_signed ? "signed " : "")
@@ -225,12 +229,6 @@ std::string emit_module(const Module& m) {
 
     os << "endmodule\n";
     return os.str();
-}
-
-void write_module_file(const Module& m, const std::string& path) {
-    std::ofstream f(path);
-    if (!f) throw std::runtime_error("write_module_file: cannot open " + path);
-    f << emit_module(m);
 }
 
 }  // namespace matador::rtl

@@ -48,8 +48,7 @@ void record_metrics(const SolverStats& s, double seconds) {
 /// set by the cone, not by the HCB: the solver and its RUP replay see only
 /// the cone.
 OutputProof prove_output(const rtl::HcbNetlist& hcb, const HcbMiter& miter,
-                         const model::TrainedModel& m, const Obligation& ob,
-                         const ProveOptions& options) {
+                         const model::TrainedModel& m, const Obligation& ob) {
     obs::TimedSpan span("prove-output", "sat");
     OutputProof p;
     p.hcb = ob.hcb;
@@ -72,7 +71,7 @@ OutputProof prove_output(const rtl::HcbNetlist& hcb, const HcbMiter& miter,
     // Pinning don't-care bits to 0 shrinks the witness space, so it is
     // sound only when the netlist output provably cannot observe them.  No
     // random sweeps: above the exhaustive size they never prove anything.
-    if (options.use_cared_cube && any_dont_care)
+    if (any_dont_care)
         p.cared_cube = lint::check_x_insensitive(hcb.aig, ob.local, care, 0, 0).proved();
 
     const ConeCnf cone = encode_cone(miter.aig, miter.aig.po(ob.local));
@@ -82,7 +81,6 @@ OutputProof prove_output(const rtl::HcbNetlist& hcb, const HcbMiter& miter,
             if (!care[pi]) assumptions.push_back(neg(lit));
 
     Solver solver(cone.cnf);
-    solver.set_max_conflicts(options.max_conflicts);
     const SolveResult res = solver.solve(assumptions);
     p.stats = solver.stats();
 
@@ -242,12 +240,10 @@ Window step_window(const std::vector<rtl::HcbNetlist>& hcbs, const model::Traine
 /// A window's CNF holds the whole stage and the uniqueness OR, so a search
 /// over it re-decides ~1,200 variables outside the next conflict's cone
 /// after every conflict; a term's CNF holds only what the term reads.
-/// Every UNSAT replays as RUP over its own CNF, and the term solves and the
-/// window solve share the case's conflict budget.
+/// Every UNSAT replays as RUP over its own CNF.
 InductionCase prove_case(const std::vector<rtl::HcbNetlist>& hcbs,
                          const model::TrainedModel& m, const std::vector<std::uint32_t>& live,
-                         std::size_t k, bool is_base, std::size_t index,
-                         const ProveOptions& options) {
+                         std::size_t k, bool is_base, std::size_t index) {
     obs::TimedSpan span(is_base ? "induction-base" : "induction-step", "sat");
     InductionCase c;
     c.is_base = is_base;
@@ -255,14 +251,10 @@ InductionCase prove_case(const std::vector<rtl::HcbNetlist>& hcbs,
 
     const Window w = is_base ? base_window(hcbs, m, live, index)
                              : step_window(hcbs, m, live, index, k);
-    // A fresh solver on what is left of the budget; an UNSAT whose trace
-    // does not replay counts as unknown.
+    // A fresh solver per solve; an UNSAT whose trace does not replay counts
+    // as unknown.
     const auto solve = [&](const Cnf& cnf, const std::vector<Lit>& assumptions) {
         Solver solver(cnf);
-        if (options.max_conflicts != 0) {
-            if (c.stats.conflicts >= options.max_conflicts) return SolveResult::kUnknown;
-            solver.set_max_conflicts(options.max_conflicts - c.stats.conflicts);
-        }
         SolveResult res = solver.solve(assumptions);
         if (res == SolveResult::kUnsat && !solver.verify_unsat()) res = SolveResult::kUnknown;
         c.stats += solver.stats();
@@ -390,15 +382,15 @@ ProveReport prove_design(const std::vector<rtl::HcbNetlist>& hcbs,
     train::run_jobs(&pool, jobs, [&](std::size_t j) {
         if (j < cases) {
             auto& c = rep.induction[j];
-            c = prove_case(hcbs, m, live, k, c.is_base, c.index, options);
+            c = prove_case(hcbs, m, live, k, c.is_base, c.index);
         } else if (j < builds) {
             miter_of(miter_hcbs[j - cases]);
         } else {
             const std::size_t first = (j - builds) * kOutputsPerJob;
             const std::size_t last = std::min(work.size(), first + kOutputsPerJob);
             for (std::size_t i = first; i < last; ++i)
-                rep.outputs[i] = prove_output(hcbs[work[i].hcb], miter_of(work[i].hcb), m,
-                                              work[i], options);
+                rep.outputs[i] =
+                    prove_output(hcbs[work[i].hcb], miter_of(work[i].hcb), m, work[i]);
         }
     });
 

@@ -82,12 +82,6 @@ struct ProveOptions {
     std::size_t output = kAllOutputs;
     /// Induction depth over the HCB chain; 0 skips the sequential proof.
     std::size_t induction_k = 1;
-    /// Solve slices under cared-cube assumptions where X-insensitivity is
-    /// proved (don't-care packet bits pinned to 0).
-    bool use_cared_cube = true;
-    /// Conflict budget per obligation (0 = unlimited); an induction case's
-    /// per-term solves and its window solve share one budget.
-    std::uint64_t max_conflicts = 0;
     /// Worker threads draining the prove job list - the induction cases
     /// and the per-output obligations alike (0 = all hardware threads).
     /// The form of prove_design that takes a pool ignores it.
@@ -139,7 +133,7 @@ struct ProveReport {
     std::size_t outputs_total = 0;
     std::size_t outputs_proved = 0;
     std::size_t outputs_failed = 0;   ///< SAT: real mismatches
-    std::size_t outputs_unknown = 0;  ///< budget exhausted / unverified trace
+    std::size_t outputs_unknown = 0;  ///< UNSAT whose trace did not replay
     std::vector<OutputProof> outputs;
 
     std::size_t induction_k = 0;   ///< 0 = sequential proof skipped

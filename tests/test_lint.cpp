@@ -667,7 +667,6 @@ struct XPassOracle {
 };
 
 XPassOracle x_pass_oracle(const rtl::RtlDesign& design, const model::TrainedModel& m) {
-    const lint::LintOptions options;
     XPassOracle x;
     for (std::size_t h = 0; h < design.hcbs.size(); ++h) {
         const auto& hcb = design.hcbs[h];
@@ -683,8 +682,8 @@ XPassOracle x_pass_oracle(const rtl::RtlDesign& design, const model::TrainedMode
                 for (std::size_t i = 0; i < out; ++i) chain_pi += spec.has_chain_input[i];
                 care.at(chain_pi) = true;
             }
-            const auto r = check_x_insensitive(hcb.aig, out, care, options.ternary_rounds,
-                                               options.seed + h * 1315423911u);
+            const auto r = check_x_insensitive(hcb.aig, out, care, lint::kTernaryRounds,
+                                               lint::kTernarySeed + h * 1315423911u);
             x.stats[0] += 1;
             x.stats[1] += r.proved_structural;
             x.stats[2] += r.proved_exhaustive;
@@ -728,12 +727,11 @@ TEST(LintDesign, XPassMatchesPerOutputCareMasks) {
     }
 }
 
-/// Where a finding sits in the order lint_design promises: the modules in
-/// scope order (comb, seq, class_sum, argmax, controller, top), then per
-/// HCB its AIG findings, its LUT findings and its X findings.
+/// Where a finding sits in the order lint_design promises: the linted
+/// modules in scope order (seq, class_sum, argmax, controller, top), then
+/// per HCB its AIG findings, its LUT findings and its X findings.
 std::size_t finding_rank(const Finding& f, const rtl::RtlDesign& design) {
     std::vector<std::string> modules;
-    for (const auto& mod : design.hcb_comb) modules.push_back("module " + mod.name);
     for (const auto& mod : design.hcb_seq) modules.push_back("module " + mod.name);
     for (const auto* mod : {&design.class_sum, &design.argmax, &design.controller, &design.top})
         modules.push_back("module " + mod->name);
@@ -751,7 +749,7 @@ std::size_t finding_rank(const Finding& f, const rtl::RtlDesign& design) {
 TEST(LintDesign, PooledLintEqualsSerialLintInOrder) {
     // The designs of CareMaskViolationFiresXSensitive: three HCBs, with the
     // honest model, the lying one (X findings), and the lying one over a
-    // design with defects planted in a middle comb module and in the top.
+    // design with defects planted in a middle HCB wrapper and in the top.
     const auto m = random_model(24, 2, 4, 0.12, 5);
     const auto design = generate(m, /*strash=*/true);
     ASSERT_EQ(design.hcbs.size(), 3u);
@@ -764,7 +762,7 @@ TEST(LintDesign, PooledLintEqualsSerialLintInOrder) {
                     break;
                 }
     rtl::RtlDesign planted = design;
-    planted.hcb_comb[1].assigns.push_back({rtl::ref("ghost_out"), rtl::ref("ghost_in")});
+    planted.hcb_seq[1].assigns.push_back({rtl::ref("ghost_out"), rtl::ref("ghost_in")});
     planted.top.nets.push_back({"never_used", 1, false, false, ""});
 
     const struct {
@@ -776,7 +774,7 @@ TEST(LintDesign, PooledLintEqualsSerialLintInOrder) {
         const std::string want = lint::lint_report_to_json(serial).dump();
         for (const unsigned threads : {1u, 2u, 4u, 8u}) {
             train::WorkerPool pool(threads);
-            EXPECT_EQ(lint::lint_report_to_json(lint::lint_design(*c.design, c.model, {}, &pool))
+            EXPECT_EQ(lint::lint_report_to_json(lint::lint_design(*c.design, c.model, &pool))
                           .dump(),
                       want)
                 << threads << " workers";
@@ -786,7 +784,7 @@ TEST(LintDesign, PooledLintEqualsSerialLintInOrder) {
         EXPECT_TRUE(std::is_sorted(ranks.begin(), ranks.end())) << render(serial.findings);
         // Stats: counts summed over the jobs, maxima taken over them.
         const auto& st = serial.stats;
-        EXPECT_EQ(st.modules.modules, 2 * design.hcbs.size() + 4);
+        EXPECT_EQ(st.modules.modules, design.hcbs.size() + 4);
         EXPECT_EQ(st.aig.aigs, design.hcbs.size());
         std::size_t ands = 0, depth = 0;
         for (const auto& hcb : design.hcbs) {
@@ -806,6 +804,61 @@ TEST(LintDesign, PooledLintEqualsSerialLintInOrder) {
     EXPECT_GT(x_hcbs.size(), 1u) << render(report.findings);
     EXPECT_TRUE(has_check(report.findings, lint::check::kUnknownNet)) << render(report.findings);
     EXPECT_TRUE(has_check(report.findings, lint::check::kUnused)) << render(report.findings);
+}
+
+TEST(LintDesign, CombInstancesAreCheckedAgainstTheirPorts) {
+    // The comb modules are text, but their shells stay in the module scope:
+    // each hcb_<k> instantiates a module with real ports.
+    const auto m = random_model(24, 2, 4, 0.12, 5);
+    const auto design = generate(m, /*strash=*/true);
+    const auto clean = lint::lint_design(design, &m);
+    EXPECT_FALSE(has_check(clean.findings, lint::check::kUnknownModule))
+        << render(clean.findings);
+
+    // A connection to a port the comb module does not have is an error.
+    rtl::RtlDesign bogus = design;
+    bogus.hcb_seq[1].instances.front().connections.emplace_back("bogus", rtl::ref("packet"));
+    const auto unknown = lint::lint_design(bogus, &m);
+    EXPECT_TRUE(std::any_of(unknown.findings.begin(), unknown.findings.end(), [](const auto& f) {
+        return f.check == lint::check::kUnknownModule && f.severity == Severity::kError &&
+               f.where == "module hcb_1" && f.object == "u_comb";
+    })) << render(unknown.findings);
+
+    // A connection of the wrong width is a width mismatch.
+    rtl::RtlDesign narrow = design;
+    for (auto& [port, conn] : narrow.hcb_seq[1].instances.front().connections)
+        if (port == "packet") conn = rtl::slice("packet", 2, 0);
+    const auto mismatch = lint::lint_design(narrow, &m);
+    EXPECT_TRUE(std::any_of(mismatch.findings.begin(), mismatch.findings.end(),
+                            [](const auto& f) {
+                                return f.check == lint::check::kWidthMismatch &&
+                                       f.where == "module hcb_1" &&
+                                       f.object == "u_comb.packet";
+                            }))
+        << render(mismatch.findings);
+
+    // A packet that no clause includes leaves hcb_1_comb without outputs.
+    // Module lint used to report "info [net-unused] module hcb_1_comb /
+    // packet: input port never read" first; the comb module is no longer
+    // linted as a module, so that finding is gone, and AIG lint counts the
+    // unread packet bits instead.
+    model::TrainedModel holes(24, 2, 2);
+    holes.clause(0, 0).include_pos.set(1);
+    holes.clause(0, 1).include_neg.set(17);
+    holes.clause(1, 0).include_pos.set(3);
+    holes.clause(1, 0).include_pos.set(20);
+    const auto gap = generate(holes, /*strash=*/true);
+    ASSERT_EQ(gap.hcbs.size(), 3u);
+    ASSERT_EQ(gap.hcbs[1].aig.num_pos(), 0u);
+    const auto report = lint::lint_design(gap, &holes);
+    EXPECT_EQ(render(report.findings),
+              "info [net-unused] module hcb_1 / clk: input port never read\n"
+              "info [net-unused] module hcb_1 / en: input port never read\n"
+              "info [net-unused] module matador_top / s_axis_tlast: input port never read\n");
+    // HCB 0 reads packet bits 1 and 3, HCB 2 bits 1 and 4 (and its chain
+    // input): 12 unread in the stages with outputs, plus all 8 of HCB 1.
+    EXPECT_EQ(report.stats.aig.unused_pis, 12u + 8u);
+    EXPECT_EQ(report.stats.modules.modules, gap.hcbs.size() + 4);
 }
 
 // ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@
 #include "serve/metrics.hpp"
 #include "rtl/generators.hpp"
 #include "rtl/verilog_parser.hpp"
-#include "rtl/verilog_writer.hpp"
 #include "serve/server.hpp"
 #include "util/bitvector.hpp"
 #include "util/json.hpp"
@@ -268,7 +267,7 @@ std::vector<std::string> verilog_corpus() {
     model::ArchOptions opts;
     opts.bus_width = 6;
     const auto design = rtl::generate_rtl(m, model::derive_architecture(m, opts), true);
-    return {rtl::emit_module(design.hcb_comb.at(1)), R"(// every construct
+    return {design.hcb_comb.at(1), R"(// every construct
 module every (
   input wire [3:0] a,
   input b,

@@ -1,10 +1,11 @@
 // End-to-end tests of `matador prove`, the formal-verification gate: the
 // built CLI (its path comes from CMake as MATADOR_CLI_PATH) is spawned as
-// a child process on a small trained model.  The report must not depend
-// on the worker count or on tracing, a trace must name every induction
-// case, an injected netlist fault must be refuted with a confirmed
-// counterexample, and exported miters must round-trip through the AIGER
-// importer byte for byte.
+// a child process on a small trained model.  A plain proof must print
+// EQUIVALENT and export the solver's metrics, `verify --verify_sat true`
+// must pass, the report must not depend on the worker count or on
+// tracing, a trace must name every induction case, an injected netlist
+// fault must be refuted with a confirmed counterexample, and exported
+// miters must round-trip through the AIGER importer byte for byte.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -68,6 +69,36 @@ protected:
 };
 
 fs::path ProveCli::dir_;
+
+TEST_F(ProveCli, PlainProofIsEquivalentAndExportsSolverMetrics) {
+    // Every output proved with a replayed RUP trace plus induction over
+    // the chain, and the prover's effort exported through the metrics
+    // registry.
+    ASSERT_EQ(prove({"--induction", "2", "--metrics-out", path("prove_metrics.json")},
+                    path("plain.txt")),
+              0);
+    const std::string text = read_file(path("plain.txt"));
+    EXPECT_NE(text.find("EQUIVALENT"), std::string::npos) << text;
+    const Json metrics = Json::parse(read_file(path("prove_metrics.json")));
+    EXPECT_EQ(metrics.at("format").as_string(), "matador-metrics");
+    EXPECT_EQ(metrics.at("version").as_count(), 1u);
+    std::vector<std::string> counters, histograms;
+    for (const Json& c : metrics.at("counters").as_array())
+        counters.push_back(c.at("name").as_string());
+    for (const Json& h : metrics.at("histograms").as_array())
+        histograms.push_back(h.at("name").as_string());
+    for (const char* name : {"sat_decisions", "sat_conflicts"})
+        EXPECT_NE(std::find(counters.begin(), counters.end(), name), counters.end()) << name;
+    EXPECT_NE(std::find(histograms.begin(), histograms.end(), "sat_proof_seconds"),
+              histograms.end());
+}
+
+TEST_F(ProveCli, VerifyWithTheSatTierPasses) {
+    // The same proofs as a rung of the verify stage.
+    EXPECT_EQ(run({"verify", "--model", model(), "--bus_width", "8", "--verify_vectors", "2",
+                   "--verify_sat", "true"}),
+              0);
+}
 
 TEST_F(ProveCli, JsonReportIsIdenticalAtOneAndFourThreads) {
     // Induction depth 1 over the two stages: one base case, one step.

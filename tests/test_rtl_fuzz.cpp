@@ -53,8 +53,9 @@ TEST_P(HcbCosimFuzz, RandomModelsRoundTrip) {
 
     const auto m = random_model(features, classes, cpc, density, seed * 31 + 7);
     const auto hcbs = rtl::build_hcbs(m, model::PacketPlan(features, bus));
-    for (const auto& hcb : hcbs) {
-        const auto text = rtl::emit_module(rtl::generate_hcb_comb_module(hcb, "hcb_comb"));
+    for (std::size_t k = 0; k < hcbs.size(); ++k) {
+        const auto& hcb = hcbs[k];
+        const auto text = rtl::emit_hcb_comb(hcb, k);
         std::string err;
         EXPECT_TRUE(rtl::check_hcb_module_text(hcb, text, 8, seed ^ 0xfeed, &err))
             << "seed " << seed << " features " << features << " bus " << bus
@@ -151,9 +152,7 @@ TEST(CorruptionDetection, OperatorFlipCaught) {
     bool checked_one = false;
     for (const auto& hcb : hcbs) {
         if (hcb.aig.num_ands() == 0) continue;
-        const auto mod = rtl::generate_hcb_comb_module(
-            hcb, "hcb_" + std::to_string(hcb.spec.packet) + "_comb");
-        std::string text = rtl::emit_module(mod);
+        std::string text = rtl::emit_hcb_comb(hcb, hcb.spec.packet);
         // Flip the first AND inside an assign into an OR.
         const auto pos = text.find(" & ");
         ASSERT_NE(pos, std::string::npos);

@@ -168,6 +168,23 @@ TEST(TrainedModel, LoadRejectsCorruptClauseData) {
     EXPECT_THROW(TrainedModel::load(ss), std::runtime_error);
 }
 
+TEST(TrainedModel, LoadRejectsPolarityItsIndexDoesNotImply) {
+    // Even clauses vote +1 and odd ones -1 everywhere a model is used (the
+    // trainer, the batched engine, the RTL class sum); a file that says
+    // otherwise is refused rather than voted two ways.
+    const auto load = [](std::size_t j, int polarity) {
+        std::stringstream ss("MATADOR-TM v1\nfeatures 4\nclasses 1\nclauses_per_class 2\n"
+                             "clause 0 " + std::to_string(j) + " " +
+                             std::to_string(polarity) + " pos 1 neg 2\nend\n");
+        return TrainedModel::load(ss);
+    };
+    for (const int polarity : {3, 0, -1})
+        EXPECT_THROW(load(0, polarity), std::runtime_error) << polarity;
+    EXPECT_THROW(load(1, 1), std::runtime_error);
+    EXPECT_EQ(load(0, 1).clause(0, 0).polarity, 1);
+    EXPECT_EQ(load(1, -1).clause(0, 1).polarity, -1);
+}
+
 TEST(TrainedModel, ContentHashTracksContent) {
     const TrainedModel a = tiny_model();
     TrainedModel b = tiny_model();

@@ -6,7 +6,6 @@
 #include "logic/aiger.hpp"
 #include "model/architecture.hpp"
 #include "rtl/verilog_parser.hpp"
-#include "rtl/verilog_writer.hpp"
 #include "tm/tsetlin_machine.hpp"
 #include "train/parallel_trainer.hpp"
 #include "train/worker_pool.hpp"
@@ -93,8 +92,7 @@ TEST(Verification, LevelThreeRoundTripIsByteIdentical) {
         for (std::size_t i = 0; i < design.hcbs.size(); ++i) {
             const auto& hcb = design.hcbs[i];
             EXPECT_EQ(hcb.aig.strash_enabled(), strash);
-            const auto parsed =
-                parse_structural_verilog(emit_module(design.hcb_comb[i]), strash);
+            const auto parsed = parse_structural_verilog(design.hcb_comb[i], strash);
             EXPECT_EQ(matador::logic::write_aiger_binary(parsed.aig),
                       matador::logic::write_aiger_binary(hcb.aig))
                 << "strash " << strash << ", hcb " << i;
@@ -106,10 +104,10 @@ TEST(Verification, LevelThreeRoundTripIsByteIdentical) {
 }
 
 TEST(Verification, PooledLevelThreeReportsTheFirstFailureInHcbOrder) {
-    // Corrupt the comb modules of a middle HCB and of the last one (each
-    // drives its last output inverted).  Level 3 must stop at the middle
-    // one as a serial walk does: the same hcbs_checked and first_failure
-    // with any pool, however the workers finish.
+    // Corrupt the comb module text of a middle HCB and of the last one
+    // (each drives its last output inverted).  Level 3 must stop at the
+    // middle one as a serial walk does: the same hcbs_checked and
+    // first_failure with any pool, however the workers finish.
     const TrainedModel m = trained_small_model();
     ArchOptions o;
     o.bus_width = 4;
@@ -117,13 +115,19 @@ TEST(Verification, PooledLevelThreeReportsTheFirstFailureInHcbOrder) {
     ASSERT_GE(design.hcbs.size(), 3u);
     const std::size_t middle = design.hcbs.size() / 2;
     for (const std::size_t i : {middle, design.hcbs.size() - 1}) {
-        auto& out = design.hcb_comb[i].assigns.back();
-        out.rhs = vnot(out.rhs);
+        // `  assign pc[j] = <rhs>;` becomes `  assign pc[j] = ~(<rhs>);`.
+        std::string& text = design.hcb_comb[i];
+        const std::size_t last = text.rfind("  assign pc[");
+        ASSERT_NE(last, std::string::npos) << text;
+        const std::size_t rhs = text.find(" = ", last) + 3;
+        text.insert(text.find(";\n", rhs), ")");
+        text.insert(rhs, "~(");
     }
     const auto serial = verify_design(design, m, 8, 7);
     EXPECT_FALSE(serial.rtl_matches_aigs);
     EXPECT_EQ(serial.hcbs_checked, middle);
-    EXPECT_NE(serial.first_failure.find(design.hcb_comb[middle].name), std::string::npos)
+    EXPECT_NE(serial.first_failure.find("hcb_" + std::to_string(middle) + "_comb"),
+              std::string::npos)
         << serial.first_failure;
     for (const unsigned threads : {1u, 2u, 4u, 8u}) {
         matador::train::WorkerPool pool(threads);
@@ -138,10 +142,10 @@ TEST(Verification, PooledLevelThreeReportsTheFirstFailureInHcbOrder) {
 TEST(Verification, CosimHcbModuleRoundTrips) {
     const TrainedModel m = trained_small_model();
     const auto hcbs = build_hcbs(m, matador::model::PacketPlan(m.num_features(), 8));
-    for (const auto& hcb : hcbs) {
-        const auto text = emit_module(generate_hcb_comb_module(hcb, "hcb_comb"));
+    for (std::size_t k = 0; k < hcbs.size(); ++k) {
         std::string err;
-        EXPECT_TRUE(check_hcb_module_text(hcb, text, 8, 5, &err)) << err;
+        EXPECT_TRUE(check_hcb_module_text(hcbs[k], emit_hcb_comb(hcbs[k], k), 8, 5, &err))
+            << err;
     }
 }
 

@@ -983,7 +983,7 @@ int cmd_lint(const CliArgs& args, const core::FlowConfig& cfg) {
         }
         train::WorkerPool pool(
             train::WorkerPool::resolve(unsigned(cfg.train_threads)));
-        report = lint::lint_design(*ctx.design, &m, {}, &pool);
+        report = lint::lint_design(*ctx.design, &m, &pool);
     }
 
     if (args.flag("json"))
